@@ -1,21 +1,20 @@
 //! Allocation accounting for the bench harness: a counting global
 //! allocator and region-scoped measurement.
 //!
-//! The zero-copy payload path (PR 10) claims the merge hot path performs
-//! ~no per-event heap traffic: block decode decompresses once into a
-//! shared block and hands out `Payload` range handles, the merger recycles
-//! its batch scratch, and jframe construction clones handles. This module
-//! makes that claim a *recorded number* instead of an assertion:
-//! `repro` installs [`CountingAlloc`] as its `#[global_allocator]`, every
-//! `bench-merge`/`bench-stream`/`bench-live` run brackets its timed merge
-//! in an [`AllocRegion`], and the resulting allocs/event and peak live
-//! bytes land in the `BENCH_*.json` records next to the throughput they
-//! explain.
+//! The zero-copy payload path claims the merge hot path performs ~no
+//! per-event heap traffic: block decode decompresses once into a shared
+//! block and hands out `Payload` range handles, the merger recycles its
+//! batch scratch, and jframe construction clones handles. This module
+//! makes that claim a *recorded number* instead of an assertion: the
+//! `perfbench/` benchmark installs [`CountingAlloc`] as its
+//! `#[global_allocator]`, brackets its timed legs in an [`AllocRegion`],
+//! and reports the resulting allocs/event and peak live bytes next to the
+//! throughput they explain (`unify.allocs_per_event`, `peak_heap_mb`).
 //!
 //! Counting costs three relaxed atomic ops per allocator call — noise
 //! next to the allocation itself — so the counted runs are the timed
 //! runs; no separate instrumented pass. When the counting allocator is
-//! *not* installed (unit tests of the record shapes, external users of
+//! *not* installed (this crate's unit tests, external users of
 //! this library), the counters never move and every report reads zero;
 //! [`counting_installed`] lets callers tell "zero allocations" apart from
 //! "not counting".
@@ -151,8 +150,8 @@ mod tests {
 
     // The library's own test binary does NOT install the allocator, so
     // counters stay at zero: exactly the "not counting" story the docs
-    // promise. The real end-to-end check lives in the repro binary (CI
-    // asserts the BENCH_*.json fields are nonzero there).
+    // promise. The installed case is exercised by perfbench, whose binary
+    // does install it.
     #[test]
     fn uninstalled_process_reads_zero() {
         let region = AllocRegion::begin();

@@ -5,21 +5,20 @@
 //! repro [--seed N] [--scale F] [--parallel] [--threads N]
 //!       [all|smoke|table1|fig4|fig6|fig7|fig8|fig9|fig10|fig11|
 //!        link-stats|coverage-oracle|ablations|baselines|
-//!        bench-merge [--out F]|
 //!        record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
 //!        merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
 //!        analyze --corpus DIR [--from US --to US]|
 //!        tail --corpus DIR [--chunk-bytes N] [--max-lag-us N] [--verify]|
 //!        diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
-//!        bench-stream [--corpus DIR] [--from US --to US] [--out F]|
-//!        bench-live [--corpus DIR] [--chunk-bytes N] [--out F]|
 //!        sweep [--scenario NAME] [--golden DIR] [--corpus DIR] [--bless]]
 //! ```
 //!
 //! Usage errors — an unknown flag or subcommand, a flag value that does
 //! not parse, a missing required flag, or a second subcommand — exit 2
 //! with a one-line message. Correctness failures (verify divergence,
-//! `--max-buffered` exceeded, golden mismatch) exit 1.
+//! `--max-buffered` exceeded, golden mismatch) exit 1, and so does a
+//! corpus that is missing, fails its recorded digest, or holds a bad wired
+//! member — one stderr line, never a panic.
 //!
 //! `smoke` is the CI entry point: a seconds-long `ScenarioConfig::tiny`
 //! run through the full pipeline — once with the serial merger and once
@@ -27,7 +26,7 @@
 //! asserting both produce the same jframe stream — failing loudly if
 //! anything degenerates.
 //!
-//! The corpus trio reproduces the paper's actual deployment shape, where
+//! The corpus subcommands reproduce the paper's actual deployment shape, where
 //! day-long jigdump traces lived on disk and the merger streamed them:
 //! * `record` simulates a scenario and writes it as a corpus (one
 //!   compressed, indexed trace per radio + manifest + digest);
@@ -37,9 +36,6 @@
 //!   disk-backed stream is identical to the in-memory serial AND sharded
 //!   runs, and `--max-buffered N` fails the run if peak merger residency
 //!   ever exceeds N events (the CI memory-bound check);
-//! * `bench-stream` times record + streaming merge and writes
-//!   `BENCH_stream.json` (events/s, peak buffered events, disk bytes
-//!   in/out);
 //! * `analyze` streams the **entire figure suite** off a recorded corpus
 //!   through the full pipeline (serial or, with `--parallel`, the
 //!   channel-sharded merge) in one bounded-memory pass — no `Vec<JFrame>`
@@ -57,10 +53,7 @@
 //!   the same tailed sources through the channel-sharded batch merge
 //!   instead; `--verify` re-merges the corpus in batch mode and asserts
 //!   the live jframe stream is identical (count + digest) — the
-//!   chunking-invariance gate, pinned at several chunk sizes;
-//! * `bench-live` records a corpus and times the chunk-fed live merge,
-//!   writing `BENCH_live.json` (events/s, p50/p99/max emission lag, peak
-//!   buffered events, scenario/seed/git_sha provenance).
+//!   chunking-invariance gate, pinned at several chunk sizes.
 //!
 //! `sweep` is the standing golden-record harness: every scenario of the
 //! adversarial sweep matrix (`jigsaw_sim::spec::ScenarioSpec::sweep_matrix`
@@ -73,7 +66,7 @@
 //! `--bless` rewrites the goldens from the current run; `--scenario`
 //! restricts to one matrix entry.
 //!
-//! `merge`, `analyze`, and `bench-stream` accept a **replay window**:
+//! `merge`, `analyze`, and `diagnose` accept a **replay window**:
 //! `--from US --to US` (anchor-universal µs, half-open `[from, to)`)
 //! restricts the run to that interval of the corpus — reads index-seek to
 //! the window, the clock bootstrap re-anchors at its warm-up start, and
@@ -88,9 +81,8 @@
 //!
 //! `--parallel` switches the single-trace figures onto
 //! `Pipeline::run_parallel` (`--threads` caps the shard threads).
-//! `bench-merge` (also part of `all`) times the merge stage serial vs
-//! sharded and writes the comparison to `BENCH_merge.json` (`--out`
-//! overrides the path).
+//! Timing lives in the separate `perfbench/` package (see its README):
+//! `repro` reports wall times in passing but records no benchmark.
 //!
 //! Each figure subcommand simulates the building (or reuses the shared run
 //! in `all` mode), pushes the traces through the Jigsaw pipeline, and
@@ -100,12 +92,6 @@
 
 // The repro CLI's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-
-/// Every `bench-*` subcommand records allocs/event and peak live bytes
-/// into its `BENCH_*.json`; counting happens here, at the one allocator
-/// the whole process shares (see [`jigsaw_bench::alloc`]).
-#[global_allocator]
-static ALLOC: jigsaw_bench::alloc::CountingAlloc = jigsaw_bench::alloc::CountingAlloc;
 
 use jigsaw_analysis::activity::ActivityAnalysis;
 use jigsaw_analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, OracleCoverage};
@@ -117,7 +103,8 @@ use jigsaw_analysis::summary::SummaryBuilder;
 use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::cli::{self, ArgSpec};
 use jigsaw_bench::{
-    minute_bin_us, paper_scenario, practical_minute_us, subset_streams, MergeBench,
+    minute_bin_us, paper_scenario, practical_minute_us, subset_streams, JframeStreamDigest,
+    OpenedCorpus, WindowedStreamDigest,
 };
 use jigsaw_core::baseline::{naive_merge, yeo_merge};
 use jigsaw_core::observer::{OnExchange, OnJFrame};
@@ -128,7 +115,10 @@ use jigsaw_core::JFrame;
 use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock, TailStream};
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::TruthConfig;
+use jigsaw_trace::corpus::Corpus;
 use jigsaw_trace::TimeWindow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Clone)]
@@ -139,10 +129,9 @@ struct Args {
     parallel: bool,
     /// Shard-thread cap (0 = one per channel, up to the core count).
     threads: usize,
-    /// Corpus directory (`record` / `merge` / `bench-stream`).
+    /// Corpus directory (`record` / `merge` / `analyze` / `tail` /
+    /// `diagnose`; the output root for `sweep`).
     corpus: Option<String>,
-    /// Output path override (`bench-merge` / `bench-stream`).
-    out: Option<String>,
     /// Scenario name: a preset (tiny | small | paper_day) or a sweep-matrix
     /// entry for `record`; a matrix filter for `sweep`.
     scenario: Option<String>,
@@ -162,11 +151,11 @@ struct Args {
     /// (0 = no limit).
     max_buffered: u64,
     /// Replay window start, anchor-universal µs (`merge`/`analyze`/
-    /// `bench-stream`).
+    /// `diagnose`).
     from: Option<u64>,
     /// Replay window end (exclusive), anchor-universal µs.
     to: Option<u64>,
-    /// `tail`/`bench-live`: chunk size each trace tail is fed in, bytes.
+    /// `tail`: chunk size each trace tail is fed in, bytes.
     chunk_bytes: usize,
     /// `tail`: wall-clock silence before a radio is declared lagging, µs.
     max_lag_us: u64,
@@ -196,7 +185,6 @@ static FLAGS: &[ArgSpec<Args>] = &[
         cli::assign(&mut a.threads, v)
     }),
     ArgSpec::text("--corpus", |a, v| a.corpus = Some(v)),
-    ArgSpec::text("--out", |a, v| a.out = Some(v)),
     ArgSpec::text("--scenario", |a, v| a.scenario = Some(v)),
     ArgSpec::text("--golden", |a, v| a.golden = Some(v)),
     ArgSpec::switch("--bless", |a| a.bless = true),
@@ -231,7 +219,6 @@ fn parse_args() -> Args {
         parallel: false,
         threads: 0,
         corpus: None,
-        out: None,
         scenario: None,
         golden: None,
         bless: false,
@@ -315,14 +302,11 @@ fn main() {
         "coverage-oracle" => run_oracle(args.seed, args.scale),
         "ablations" => run_ablations(args.seed, args.scale),
         "baselines" => run_baselines(args.seed, args.scale),
-        "bench-merge" => run_bench_merge(&args),
         "record" => run_record(&args),
         "merge" => run_corpus_merge(&args),
         "analyze" => run_analyze(&args),
         "tail" => run_tail(&args),
         "diagnose" => run_diagnose(&args),
-        "bench-stream" => run_bench_stream(&args),
-        "bench-live" => run_bench_live(&args),
         "sweep" => run_sweep(&args),
         other => usage_error(&format!("unknown subcommand `{other}`")),
     }
@@ -334,13 +318,6 @@ fn run_all(args: &Args) {
     run_oracle(args.seed, args.scale);
     run_ablations(args.seed, args.scale);
     run_baselines(args.seed, args.scale);
-    run_bench_merge(args);
-    // `--out` names one file; in `all` mode the two bench records would
-    // clobber each other through it, so bench-stream keeps its default.
-    run_bench_stream(&Args {
-        out: None,
-        ..args.clone()
-    });
 }
 
 /// One shared simulation + pipeline pass feeding every single-trace figure.
@@ -689,44 +666,6 @@ fn run_smoke(args: &Args) {
     );
 }
 
-/// Times the merge stage (bootstrap + unification only) serial vs sharded
-/// on the paper-day scenario and records the comparison in
-/// `BENCH_merge.json`.
-fn run_bench_merge(args: &Args) {
-    banner("BENCH — merge stage, serial vs channel-sharded");
-    let out = simulate(args.seed, args.scale);
-    let bench = MergeBench::run(&out, "paper_day", args.seed, args.scale, args.threads);
-    println!(
-        "events {}  channels {}  threads {}  cores {}  serial {:.3}s  parallel {:.3}s  speedup {:.2}x",
-        bench.events,
-        bench.channels,
-        bench.threads,
-        bench.cores,
-        bench.serial_s,
-        bench.parallel_s,
-        bench.speedup()
-    );
-    println!(
-        "serial merge: {:.0} events/s  {:.4} allocs/event  peak heap {:.1} MB",
-        bench.events as f64 / bench.serial_s.max(1e-12),
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    if bench.cores < bench.threads {
-        println!(
-            "(note: {} shard threads on {} core(s) — speedup needs ≥ {} cores to materialize)",
-            bench.threads, bench.cores, bench.threads
-        );
-    }
-    assert_eq!(
-        bench.jframes_serial, bench.jframes_parallel,
-        "sharded merge diverged from serial"
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_merge.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
 /// The corpus directory or a loud exit (the corpus subcommands are useless
 /// without one).
 fn corpus_dir(args: &Args) -> std::path::PathBuf {
@@ -739,11 +678,46 @@ fn corpus_dir(args: &Args) -> std::path::PathBuf {
     }
 }
 
+/// Exits 1 with a one-line `<subcommand>: <msg>` on stderr — the
+/// correctness-failure half of the exit-code contract.
+fn fail(args: &Args, msg: &str) -> ! {
+    eprintln!("{}: {msg}", args.cmd);
+    std::process::exit(1);
+}
+
+/// Opens `--corpus` through [`jigsaw_bench::open_corpus`] and describes it
+/// in one line. A corpus that is missing, fails its digest, or holds a bad
+/// wired member exits 1.
+fn open_corpus(args: &Args) -> OpenedCorpus {
+    let dir = corpus_dir(args);
+    let opened = jigsaw_bench::open_corpus(&dir).unwrap_or_else(|e| fail(args, &e));
+    let (corpus, m) = (&opened.corpus, opened.corpus.manifest());
+    println!(
+        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
+        dir.display(),
+        m.scenario,
+        m.seed,
+        m.scale,
+        m.radios.len(),
+        corpus.total_events(),
+        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
+    );
+    opened
+}
+
+/// The corpus's recorded universal-time span (`None` when it records no
+/// events); an unreadable index exits 1.
+fn corpus_span(args: &Args, corpus: &Corpus) -> Option<(u64, u64)> {
+    corpus
+        .universal_span()
+        .unwrap_or_else(|e| fail(args, &format!("read corpus indexes: {e}")))
+}
+
 /// The validated replay window, or `None` when no `--from`/`--to` was
 /// given. Rejects half-specified windows, `from ≥ to`, and windows that
 /// miss the corpus's recorded span — every one of these would otherwise be
 /// an empty run that *looks* like a clean result.
-fn replay_window(args: &Args, corpus: &jigsaw_trace::corpus::Corpus) -> Option<TimeWindow> {
+fn replay_window(args: &Args, corpus: &Corpus) -> Option<TimeWindow> {
     let window = match (args.from, args.to) {
         (None, None) => return None,
         (Some(from), Some(to)) => TimeWindow::new(from, to).unwrap_or_else(|| {
@@ -758,8 +732,7 @@ fn replay_window(args: &Args, corpus: &jigsaw_trace::corpus::Corpus) -> Option<T
             std::process::exit(2);
         }
     };
-    let span = corpus.universal_span().expect("read corpus indexes");
-    match span {
+    match corpus_span(args, corpus) {
         Some((lo, hi)) if window.overlaps(lo, hi) => Some(window),
         Some((lo, hi)) => {
             eprintln!(
@@ -810,81 +783,6 @@ fn run_record(args: &Args) {
     );
 }
 
-/// Opens a corpus and streams it through the merge (serial or sharded),
-/// returning `(events_in, digest, peak_buffered, disk_bytes_in, elapsed)`.
-fn stream_merge_corpus(
-    corpus: &jigsaw_trace::corpus::Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-) -> (
-    u64,
-    jigsaw_bench::JframeStreamDigest,
-    u64,
-    u64,
-    std::time::Duration,
-) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let counter = std::sync::Arc::new(AtomicU64::new(0));
-    let sources =
-        jigsaw_bench::corpus_sources(corpus, std::sync::Arc::clone(&counter)).expect("open corpus");
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
-    let t0 = Instant::now();
-    let (_, stats) = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    };
-    (
-        stats.events_in,
-        digest,
-        stats.peak_buffered,
-        counter.load(Ordering::Relaxed),
-        t0.elapsed(),
-    )
-}
-
-/// Streams a corpus through the merge restricted to a replay window:
-/// index-seeked windowed sources, mid-trace clock bootstrap, emission
-/// clipped to `[from, to)`. The window comes from `cfg.window` — the one
-/// place it lives, so sources and emission clipping cannot disagree.
-/// Returns `(events_in, digest, peak_buffered, disk_bytes_in, elapsed)`.
-fn stream_merge_corpus_windowed(
-    corpus: &jigsaw_trace::corpus::Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-) -> (
-    u64,
-    jigsaw_bench::WindowedStreamDigest,
-    u64,
-    u64,
-    std::time::Duration,
-) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let window = cfg.window.expect("windowed merge requires cfg.window");
-    let counter = std::sync::Arc::new(AtomicU64::new(0));
-    let sources =
-        jigsaw_bench::corpus_sources_windowed(corpus, std::sync::Arc::clone(&counter), window)
-            .expect("open corpus");
-    let mut digest = jigsaw_bench::WindowedStreamDigest::new();
-    let t0 = Instant::now();
-    let (_, stats) = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    };
-    (
-        stats.events_in,
-        digest,
-        stats.peak_buffered,
-        counter.load(Ordering::Relaxed),
-        t0.elapsed(),
-    )
-}
-
 /// `merge --corpus`: stream a recorded corpus through the pipeline with
 /// window-bounded memory; `--verify` asserts the disk-backed jframe stream
 /// is identical to in-memory serial AND sharded runs at the manifest seed.
@@ -893,30 +791,21 @@ fn stream_merge_corpus_windowed(
 /// same window unifies (per-channel count + clock-invariant digest).
 fn run_corpus_merge(args: &Args) {
     banner("MERGE — stream an on-disk corpus through unification");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    if let Some(window) = replay_window(args, &corpus) {
+    let corpus = open_corpus(args);
+    if let Some(window) = replay_window(args, &corpus.corpus) {
         return run_windowed_merge(args, &corpus, window);
     }
 
     let cfg = pipeline_config(args);
-    let (events, digest, peak, bytes_in, elapsed) =
-        stream_merge_corpus(&corpus, &cfg, args.parallel);
+    let mut digest = JframeStreamDigest::new();
+    let obs = OnJFrame(|jf: &JFrame| digest.observe(jf));
+    let t0 = Instant::now();
+    let pass = corpus
+        .pass(&cfg, args.parallel, obs)
+        .unwrap_or_else(|e| fail(args, &e));
+    let elapsed = t0.elapsed();
+    let stats = &pass.pipeline.merge;
+    let (events, peak) = (stats.events_in, stats.peak_buffered);
     let driver = if args.parallel { "sharded" } else { "serial" };
     println!(
         "merged {events} events -> {} jframes in {elapsed:.1?} ({driver}, {:.0} events/s)",
@@ -924,39 +813,34 @@ fn run_corpus_merge(args: &Args) {
         events as f64 / elapsed.as_secs_f64().max(1e-12)
     );
     println!(
-        "stream digest {}  peak buffered {peak} events  disk bytes in {bytes_in}",
-        digest.hex()
+        "stream digest {}  peak buffered {peak} events  disk bytes in {}",
+        digest.hex(),
+        pass.disk_bytes_in
     );
-    assert_eq!(
-        events,
-        corpus.total_events(),
-        "merge dropped events relative to the manifest"
-    );
-    if args.max_buffered > 0 && peak > args.max_buffered {
-        eprintln!(
-            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the window",
-            args.max_buffered
-        );
-        std::process::exit(1);
+    if events != corpus.corpus.total_events() {
+        fail(args, "merge dropped events relative to the manifest");
     }
+    check_max_buffered(args, peak);
 
     if args.verify {
+        let m = corpus.corpus.manifest();
         let Some(cfg_sim) = jigsaw_bench::scenario_by_name(&m.scenario, m.seed, m.scale) else {
-            eprintln!("manifest scenario `{}` unknown to this binary", m.scenario);
-            std::process::exit(1);
+            fail(
+                args,
+                &format!("manifest scenario `{}` unknown to this binary", m.scenario),
+            );
         };
         eprintln!("[verify] re-simulating {} at seed {}…", m.scenario, m.seed);
         let out = cfg_sim.run();
 
-        let mut mem_serial = jigsaw_bench::JframeStreamDigest::new();
+        let mut mem_serial = JframeStreamDigest::new();
         Pipeline::merge_only(
             out.memory_streams(),
             &cfg,
             OnJFrame(|jf: &JFrame| mem_serial.observe(jf)),
         )
-        .expect("in-memory serial merge");
-        let mut mem_sharded = jigsaw_bench::JframeStreamDigest::new();
+        .unwrap_or_else(|e| fail(args, &format!("in-memory serial merge: {e}")));
+        let mut mem_sharded = JframeStreamDigest::new();
         let par_cfg = PipelineConfig {
             shard: ShardConfig {
                 max_threads: jigsaw_trace::stream::distinct_channels(&out.radio_meta)
@@ -966,12 +850,12 @@ fn run_corpus_merge(args: &Args) {
             },
             ..cfg.clone()
         };
-        Pipeline::merge_only_parallel(
+        Pipeline::run_parallel(
             out.memory_streams(),
             &par_cfg,
             OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
         )
-        .expect("in-memory sharded merge");
+        .unwrap_or_else(|e| fail(args, &format!("in-memory sharded merge: {e}")));
 
         let mut ok = true;
         for (name, mem) in [("serial", &mem_serial), ("sharded", &mem_sharded)] {
@@ -997,16 +881,36 @@ fn run_corpus_merge(args: &Args) {
     }
 }
 
+/// `--max-buffered`: exits 1 when peak merger residency exceeded the bound.
+fn check_max_buffered(args: &Args, peak: u64) {
+    if args.max_buffered > 0 && peak > args.max_buffered {
+        eprintln!(
+            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
+             streaming memory is no longer bounded by the window",
+            args.max_buffered
+        );
+        std::process::exit(1);
+    }
+}
+
 /// The windowed leg of `merge --corpus --from --to`: seek-bounded replay of
 /// `[from, to)`, with `--verify` comparing against the full corpus replay
 /// clipped to the same window.
-fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window: TimeWindow) {
+fn run_windowed_merge(args: &Args, corpus: &OpenedCorpus, window: TimeWindow) {
     let mut cfg = pipeline_config(args);
     cfg.window = Some(window);
-    let (events, digest, peak, bytes_in, elapsed) =
-        stream_merge_corpus_windowed(corpus, &cfg, args.parallel);
+    let mut digest = WindowedStreamDigest::new();
+    let obs = OnJFrame(|jf: &JFrame| digest.observe(jf));
+    let t0 = Instant::now();
+    let pass = corpus
+        .pass(&cfg, args.parallel, obs)
+        .unwrap_or_else(|e| fail(args, &e));
+    let elapsed = t0.elapsed();
+    let stats = &pass.pipeline.merge;
+    let (events, peak) = (stats.events_in, stats.peak_buffered);
+    let bytes_in = pass.disk_bytes_in;
     let driver = if args.parallel { "sharded" } else { "serial" };
-    let total_bytes = corpus.data_bytes().unwrap_or(0);
+    let total_bytes = corpus.corpus.data_bytes().unwrap_or(0);
     println!(
         "window {window}: merged {events} events -> {} in-window jframes in {elapsed:.1?} ({driver}, {:.0} events/s)",
         digest.count(),
@@ -1016,18 +920,13 @@ fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window
         "window digest {}  peak buffered {peak} events  disk bytes in {bytes_in} (corpus holds {total_bytes})",
         digest.hex()
     );
-    assert!(
-        events <= corpus.total_events(),
-        "windowed merge read more events than the corpus holds"
-    );
-    if args.max_buffered > 0 && peak > args.max_buffered {
-        eprintln!(
-            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the window",
-            args.max_buffered
+    if events > corpus.corpus.total_events() {
+        fail(
+            args,
+            "windowed merge read more events than the corpus holds",
         );
-        std::process::exit(1);
     }
+    check_max_buffered(args, peak);
 
     if args.verify {
         // The reference: the FULL corpus replayed from t = 0, with only
@@ -1036,13 +935,13 @@ fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window
         // timestamps agree only to the re-anchor tolerance; unification
         // must agree exactly).
         eprintln!("[verify] full replay clipped to {window}…");
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let sources = jigsaw_bench::corpus_sources(corpus, std::sync::Arc::clone(&counter))
-            .expect("open corpus");
-        let mut full = jigsaw_bench::WindowedStreamDigest::new();
+        let counter = Arc::new(AtomicU64::new(0));
+        let sources = jigsaw_bench::corpus_sources(&corpus.corpus, Arc::clone(&counter))
+            .unwrap_or_else(|e| fail(args, &format!("open corpus sources: {e}")));
+        let mut full = WindowedStreamDigest::new();
         Pipeline::merge_only(sources, &cfg, OnJFrame(|jf: &JFrame| full.observe(jf)))
-            .expect("clipped-full merge");
-        let full_bytes = counter.load(std::sync::atomic::Ordering::Relaxed);
+            .unwrap_or_else(|e| fail(args, &format!("clipped-full merge: {e}")));
+        let full_bytes = counter.load(Ordering::Relaxed);
         if full.count() != digest.count() || full.hex() != digest.hex() {
             eprintln!(
                 "FAIL: windowed replay ({} jframes, {}) != clipped-full replay ({} jframes, {})",
@@ -1083,73 +982,22 @@ fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window
 /// trace clips to the same `[from, to)`).
 fn run_analyze(args: &Args) {
     banner("ANALYZE — stream the figure suite off a recorded corpus");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    let window = replay_window(args, &corpus);
-
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("analyze: {e}");
-        std::process::exit(2);
-    });
-    // A windowed analyze clips the wired side-channel to the same window
-    // (wired timestamps are wall-clock, the same timeline the window is
-    // phrased in, up to the documented NTP tolerance).
-    let wired: Vec<jigsaw_sim::wired::WiredTraceRecord> = match window {
-        Some(w) => wired.into_iter().filter(|r| w.contains(r.ts)).collect(),
-        None => wired,
-    };
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite =
-        jigsaw_bench::figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    drop(wired);
-
+    let corpus = open_corpus(args);
     let mut cfg = pipeline_config(args);
-    cfg.window = window;
-    let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    cfg.window = replay_window(args, &corpus.corpus);
     let t0 = Instant::now();
-    let report = if let Some(w) = window {
-        let sources =
-            jigsaw_bench::corpus_sources_windowed(&corpus, std::sync::Arc::clone(&counter), w)
-                .expect("open corpus sources");
-        if args.parallel {
-            Pipeline::run_parallel(sources, &cfg, &mut suite)
-        } else {
-            Pipeline::run(sources, &cfg, &mut suite)
-        }
-    } else {
-        let sources = jigsaw_bench::corpus_sources(&corpus, std::sync::Arc::clone(&counter))
-            .expect("open corpus sources");
-        if args.parallel {
-            Pipeline::run_parallel(sources, &cfg, &mut suite)
-        } else {
-            Pipeline::run(sources, &cfg, &mut suite)
-        }
-    }
-    .expect("pipeline");
+    let (figures, pass) = corpus
+        .figures(&cfg, args.parallel, ())
+        .unwrap_or_else(|e| fail(args, &e));
     let elapsed = t0.elapsed();
+    let report = &pass.pipeline;
     let driver = if args.parallel { "sharded" } else { "serial" };
-    match window {
+    match cfg.window {
         Some(w) => println!("window {w}: replay restricted to the requested interval"),
-        None => assert_eq!(
-            report.merge.events_in,
-            corpus.total_events(),
-            "analyze dropped events relative to the manifest"
-        ),
+        None if report.merge.events_in != corpus.corpus.total_events() => {
+            fail(args, "analyze dropped events relative to the manifest")
+        }
+        None => {}
     }
     println!(
         "analyzed {} events -> {} jframes, {} exchanges, {} flows in {elapsed:.1?} ({driver}, peak buffered {} events, disk bytes in {})",
@@ -1158,22 +1006,25 @@ fn run_analyze(args: &Args) {
         report.link.exchanges,
         report.transport.flows,
         report.merge.peak_buffered,
-        counter.load(std::sync::atomic::Ordering::Relaxed)
+        pass.disk_bytes_in
     );
+    print_figures(&figures);
+}
 
-    let figures = suite.finish();
-    for fig in &figures {
+/// Renders every figure, then the machine `record` lines CI diffs.
+fn print_figures(figures: &[Box<dyn Figure>]) {
+    for fig in figures {
         banner(fig.title());
         print!("{}", fig.render());
     }
     banner("MACHINE RECORDS — figure key/value summary");
-    print!("{}", record_lines(&figures));
+    print!("{}", record_lines(figures));
 }
 
 /// Opens every radio of a corpus as a chunk-fed file tail, in manifest
 /// (radio) order — the byte stream each tail delivers is identical to what
 /// a still-growing trace file would, for any chunk size.
-fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
+fn corpus_tails(args: &Args, corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
     corpus
         .manifest()
         .radios
@@ -1181,7 +1032,7 @@ fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<Chun
         .map(|r| {
             let path = corpus.dir().join(&r.data);
             ChunkedFileTail::open(&path, chunk)
-                .unwrap_or_else(|e| panic!("open trace tail {}: {e}", path.display()))
+                .unwrap_or_else(|e| fail(args, &format!("open trace tail {}: {e}", path.display())))
         })
         .collect()
 }
@@ -1205,45 +1056,24 @@ fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<Chun
 /// checkable at any `--chunk-bytes`.
 fn run_tail(args: &Args) {
     banner("TAIL — live streaming ingest from a recorded corpus");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
+    let corpus = open_corpus(args);
     let chunk = args.chunk_bytes.max(1);
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB (chunk {} B)",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6,
-        chunk,
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
+    let mut suite = corpus.suite(None);
 
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("tail: {e}");
-        std::process::exit(2);
-    });
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite =
-        jigsaw_bench::figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    drop(wired);
-
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
+    let mut digest = JframeStreamDigest::new();
     let t0 = Instant::now();
     let (events_in, jframes, peak, exchanges, flows, live_report) = if args.parallel {
         let cfg = pipeline_config(args);
-        let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(&corpus, chunk)
+        let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(args, &corpus.corpus, chunk)
             .into_iter()
-            .map(|t| TailStream::open(t).expect("read trace header"))
+            .map(|t| {
+                TailStream::open(t)
+                    .unwrap_or_else(|e| fail(args, &format!("read trace header: {e}")))
+            })
             .collect();
         let obs = (&mut suite, OnJFrame(|jf: &JFrame| digest.observe(jf)));
-        let report = Pipeline::run_parallel(sources, &cfg, obs).expect("pipeline");
+        let report = Pipeline::run_parallel(sources, &cfg, obs)
+            .unwrap_or_else(|e| fail(args, &format!("pipeline: {e}")));
         (
             report.merge.events_in,
             report.merge.jframes_out,
@@ -1258,7 +1088,7 @@ fn run_tail(args: &Args) {
             ..LiveConfig::default()
         };
         let mut lm = LiveMerger::new(lcfg, ManualClock::new());
-        for tail in corpus_tails(&corpus, chunk) {
+        for tail in corpus_tails(args, &corpus.corpus, chunk) {
             lm.add_source(tail);
         }
         let mut rec = Reconstruction::new(&mut suite);
@@ -1267,10 +1097,7 @@ fn run_tail(args: &Args) {
                 digest.observe(&jf);
                 rec.push(&jf);
             })
-            .unwrap_or_else(|e| {
-                eprintln!("FAIL: live merge: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| fail(args, &format!("live merge: {e}")));
         let (_, link, _, transport) = rec.finish();
         (
             report.merge.events_in,
@@ -1282,18 +1109,16 @@ fn run_tail(args: &Args) {
         )
     };
     let elapsed = t0.elapsed();
-    assert_eq!(
-        events_in,
-        corpus.total_events(),
-        "tail dropped events relative to the manifest"
-    );
+    if events_in != corpus.corpus.total_events() {
+        fail(args, "tail dropped events relative to the manifest");
+    }
     let driver = if args.parallel {
         "sharded-tail"
     } else {
         "live"
     };
     println!(
-        "tailed {events_in} events -> {jframes} jframes, {exchanges} exchanges, {flows} flows in {elapsed:.1?} ({driver}, peak buffered {peak} events)"
+        "tailed {events_in} events -> {jframes} jframes, {exchanges} exchanges, {flows} flows in {elapsed:.1?} ({driver}, chunk {chunk} B, peak buffered {peak} events)"
     );
     if let Some(rep) = &live_report {
         let lag_q = rep.lag.quantiles(&[0.5, 0.99]);
@@ -1325,18 +1150,24 @@ fn run_tail(args: &Args) {
     }
 
     if args.verify {
-        let cfg = pipeline_config(args);
-        let (b_events, b_digest, _, _, _) = stream_merge_corpus(&corpus, &cfg, args.parallel);
-        if b_events != events_in
-            || b_digest.count() != digest.count()
-            || b_digest.hex() != digest.hex()
+        let mut batch = JframeStreamDigest::new();
+        let pass = corpus
+            .pass(
+                &pipeline_config(args),
+                args.parallel,
+                OnJFrame(|jf: &JFrame| batch.observe(jf)),
+            )
+            .unwrap_or_else(|e| fail(args, &format!("batch merge: {e}")));
+        if pass.pipeline.merge.events_in != events_in
+            || batch.count() != digest.count()
+            || batch.hex() != digest.hex()
         {
             eprintln!(
                 "FAIL: live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {}",
                 digest.count(),
                 digest.hex(),
-                b_digest.count(),
-                b_digest.hex(),
+                batch.count(),
+                batch.hex(),
             );
             std::process::exit(1);
         }
@@ -1347,13 +1178,7 @@ fn run_tail(args: &Args) {
         );
     }
 
-    let figures = suite.finish();
-    for fig in &figures {
-        banner(fig.title());
-        print!("{}", fig.render());
-    }
-    banner("MACHINE RECORDS — figure key/value summary");
-    print!("{}", record_lines(&figures));
+    print_figures(&suite.finish());
 }
 
 /// `diagnose`: evidence-grounded triage off a recorded corpus. One
@@ -1368,24 +1193,10 @@ fn run_tail(args: &Args) {
 fn run_diagnose(args: &Args) {
     use jigsaw_diagnosis::{run_diagnosis, standard_detectors, RecordSet, Thresholds};
     banner("DIAGNOSE — evidence-grounded triage over the figure suite");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events()
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    let restrict = replay_window(args, &corpus);
-    let span = match corpus.universal_span().expect("read corpus indexes") {
+    let corpus = open_corpus(args);
+    let m = corpus.corpus.manifest();
+    let restrict = replay_window(args, &corpus.corpus);
+    let span = match corpus_span(args, &corpus.corpus) {
         Some((lo, hi)) => match restrict {
             // Diagnose only the requested interval (already validated
             // to overlap the span).
@@ -1398,66 +1209,20 @@ fn run_diagnose(args: &Args) {
         }
     };
 
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("diagnose: {e}");
-        std::process::exit(2);
-    });
     // One figure-suite pass over a window (or, for the coarse pass, the
     // whole span) — the same streaming path `analyze` runs, reduced to
     // its typed records.
-    let analyze_span = |w: Option<TimeWindow>| -> Result<RecordSet, String> {
-        let wired_clipped: Vec<jigsaw_sim::wired::WiredTraceRecord> = match w {
-            Some(win) => wired
-                .iter()
-                .filter(|r| win.contains(r.ts))
-                .cloned()
-                .collect(),
-            None => wired.clone(),
+    let analyze_span = |window: Option<TimeWindow>| -> Result<RecordSet, String> {
+        let cfg = PipelineConfig {
+            window,
+            ..pipeline_config(args)
         };
-        let ap_lookup = |sid: u16| ap_table[&sid];
-        let mut suite = jigsaw_bench::figure_suite_parts(
-            m.radios.len(),
-            m.duration_us,
-            &wired_clipped,
-            &ap_lookup,
-        );
-        let mut cfg = pipeline_config(args);
-        cfg.window = w;
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        match w {
-            Some(win) => {
-                let sources = jigsaw_bench::corpus_sources_windowed(
-                    &corpus,
-                    std::sync::Arc::clone(&counter),
-                    win,
-                )
-                .map_err(|e| format!("open corpus sources: {e}"))?;
-                if args.parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-            None => {
-                let sources =
-                    jigsaw_bench::corpus_sources(&corpus, std::sync::Arc::clone(&counter))
-                        .map_err(|e| format!("open corpus sources: {e}"))?;
-                if args.parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-        }
-        .map_err(|e| format!("pipeline: {e}"))?;
-        Ok(RecordSet::from_figures(&suite.finish()))
+        let (figures, _) = corpus.figures(&cfg, args.parallel, ())?;
+        Ok(RecordSet::from_figures(&figures))
     };
-
     let t0 = Instant::now();
-    let coarse = analyze_span(restrict).unwrap_or_else(|e| {
-        eprintln!("diagnose: coarse pass failed: {e}");
-        std::process::exit(1);
-    });
+    let coarse =
+        analyze_span(restrict).unwrap_or_else(|e| fail(args, &format!("coarse pass failed: {e}")));
     let mut deep = |w: TimeWindow| analyze_span(Some(w));
     let report = run_diagnosis(
         &standard_detectors(),
@@ -1466,10 +1231,7 @@ fn run_diagnose(args: &Args) {
         &Thresholds::default(),
         &mut deep,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("diagnose: windowed re-analysis failed: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(args, &format!("windowed re-analysis failed: {e}")));
     let triggered = report.detectors.iter().filter(|d| d.triggered).count();
     // One stable stdout line — what CI greps into the step summary.
     println!(
@@ -1514,7 +1276,7 @@ fn run_diagnose(args: &Args) {
                     Some(diff) => {
                         eprintln!(
                             "FAIL: diagnosis drifted from {golden}:\n{diff}(intentional change? re-bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
-                            dir.display()
+                            corpus.corpus.dir().display()
                         );
                         std::process::exit(1);
                     }
@@ -1522,232 +1284,13 @@ fn run_diagnose(args: &Args) {
                 Err(_) => {
                     eprintln!(
                         "FAIL: no diagnosis golden at {golden} (bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
-                        dir.display()
+                        corpus.corpus.dir().display()
                     );
                     std::process::exit(1);
                 }
             }
         }
     }
-}
-
-/// `bench-stream`: record a corpus, stream-merge it back, and write the
-/// throughput/memory/IO record to `BENCH_stream.json`.
-fn run_bench_stream(args: &Args) {
-    banner("BENCH — disk-backed streaming: record + merge from corpus");
-    let dir = args
-        .corpus
-        .clone()
-        .unwrap_or_else(|| "target/bench_stream_corpus".into());
-    let dir = std::path::Path::new(&dir);
-    let out = simulate(args.seed, args.scale);
-    let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-
-    let t0 = Instant::now();
-    let summary = jigsaw_bench::record_corpus(
-        &out,
-        dir,
-        "paper_day",
-        args.seed,
-        args.scale,
-        args.snaplen,
-        args.block_bytes,
-    )
-    .expect("record corpus");
-    let record_s = t0.elapsed().as_secs_f64();
-    // The whole point: the merge below must not touch the in-memory world.
-    drop(out);
-
-    let corpus = jigsaw_trace::corpus::Corpus::open(dir).expect("open corpus");
-    // Like bench-merge: with no --threads, force one shard per channel even
-    // on machines with fewer cores, so the recorded layout is the same
-    // everywhere and CI's multi-core runners actually exercise it. The
-    // merge below runs with exactly this shard config — `threads` in the
-    // JSON is the count that really ran.
-    let shard = ShardConfig {
-        max_threads: if args.threads == 0 {
-            channels.max(1)
-        } else {
-            args.threads
-        },
-        ..ShardConfig::default()
-    };
-    let threads = shard.shards_for(channels);
-    let cfg = PipelineConfig {
-        shard,
-        ..PipelineConfig::default()
-    };
-    let region = jigsaw_bench::alloc::AllocRegion::begin();
-    let (events, digest, peak, bytes_in, elapsed) = stream_merge_corpus(&corpus, &cfg, true);
-    let alloc_report = region.end();
-    assert_eq!(events, summary.events, "streaming merge dropped events");
-    assert!(digest.count() > 0, "streaming merge produced no jframes");
-
-    // The seek-bounded leg: replay only [--from, --to) and record how much
-    // cheaper it is than the full scan above.
-    let window_bench = replay_window(args, &corpus).map(|w| {
-        let mut wcfg = cfg.clone();
-        wcfg.window = Some(w);
-        let (w_events, w_digest, _, w_bytes, w_elapsed) =
-            stream_merge_corpus_windowed(&corpus, &wcfg, true);
-        jigsaw_bench::WindowBench {
-            from: w.from,
-            to: w.to,
-            events: w_events,
-            jframes: w_digest.count(),
-            merge_s: w_elapsed.as_secs_f64(),
-            disk_bytes_in: w_bytes,
-        }
-    });
-
-    let bench = jigsaw_bench::StreamBench {
-        scenario: "paper_day".into(),
-        seed: args.seed,
-        git_sha: jigsaw_bench::git_sha(),
-        scale: args.scale,
-        events,
-        jframes: digest.count(),
-        channels,
-        threads,
-        cores: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        record_s,
-        disk_bytes_out: summary.data_bytes,
-        merge_s: elapsed.as_secs_f64(),
-        disk_bytes_in: bytes_in,
-        peak_buffered_events: peak,
-        allocs_per_event: alloc_report.per_event(events),
-        peak_alloc_bytes: alloc_report.peak_bytes,
-        digest: digest.hex(),
-        window: window_bench,
-    };
-    println!(
-        "events {}  jframes {}  record {:.3}s ({:.1} MB/s out)  merge {:.3}s ({:.0} events/s, {:.1} MB/s in)  peak buffered {}  threads {}/{} cores",
-        bench.events,
-        bench.jframes,
-        bench.record_s,
-        bench.write_mb_s(),
-        bench.merge_s,
-        bench.events_per_s(),
-        bench.read_mb_s(),
-        bench.peak_buffered_events,
-        bench.threads,
-        bench.cores,
-    );
-    println!(
-        "alloc accounting: {:.4} allocs/event  peak heap {:.1} MB",
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    if let Some(w) = &bench.window {
-        println!(
-            "window [{}, {}): {} events -> {} jframes in {:.3}s — {:.2}x faster than the full scan, {} of {} disk bytes read",
-            w.from,
-            w.to,
-            w.events,
-            w.jframes,
-            w.merge_s,
-            bench.seek_speedup(),
-            w.disk_bytes_in,
-            bench.disk_bytes_in,
-        );
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_stream.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// `bench-live`: record a corpus (at `--corpus`, default
-/// `target/bench_live_corpus`) and time the chunk-fed live merge over it,
-/// writing `BENCH_live.json` — events/s through the always-on service,
-/// the emission-lag quantiles the bounded-lag contract caps, and peak
-/// buffered events, with scenario/seed/git_sha provenance.
-fn run_bench_live(args: &Args) {
-    banner("BENCH — live ingest: chunk-fed tail merge from corpus");
-    let dir = args
-        .corpus
-        .clone()
-        .unwrap_or_else(|| "target/bench_live_corpus".into());
-    let dir = std::path::Path::new(&dir);
-    let out = simulate(args.seed, args.scale);
-    let t0 = Instant::now();
-    let summary = jigsaw_bench::record_corpus(
-        &out,
-        dir,
-        "paper_day",
-        args.seed,
-        args.scale,
-        args.snaplen,
-        args.block_bytes,
-    )
-    .expect("record corpus");
-    let record_s = t0.elapsed().as_secs_f64();
-    // Like bench-stream: the merge below must not touch the in-memory world.
-    drop(out);
-
-    let corpus = jigsaw_trace::corpus::Corpus::open(dir).expect("open corpus");
-    let chunk = args.chunk_bytes.max(1);
-    let lcfg = LiveConfig {
-        max_lag_us: args.max_lag_us,
-        ..LiveConfig::default()
-    };
-    let mut lm = LiveMerger::new(lcfg, ManualClock::new());
-    for tail in corpus_tails(&corpus, chunk) {
-        lm.add_source(tail);
-    }
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
-    let region = jigsaw_bench::alloc::AllocRegion::begin();
-    let t0 = Instant::now();
-    let report = lm.run(|jf| digest.observe(&jf)).expect("live merge");
-    let merge_s = t0.elapsed().as_secs_f64();
-    let alloc_report = region.end();
-    assert_eq!(
-        report.merge.events_in, summary.events,
-        "live merge dropped events"
-    );
-    assert!(digest.count() > 0, "live merge produced no jframes");
-
-    let lag_q = report.lag.quantiles(&[0.5, 0.99]);
-    let bench = jigsaw_bench::LiveBench {
-        scenario: "paper_day".into(),
-        seed: args.seed,
-        git_sha: jigsaw_bench::git_sha(),
-        scale: args.scale,
-        events: report.merge.events_in,
-        jframes: digest.count(),
-        sources: corpus.manifest().radios.len(),
-        chunk_bytes: chunk,
-        record_s,
-        merge_s,
-        lag_p50_us: lag_q[0],
-        lag_p99_us: lag_q[1],
-        lag_max_us: report.lag_max(),
-        peak_buffered_events: report.merge.peak_buffered,
-        allocs_per_event: alloc_report.per_event(report.merge.events_in),
-        peak_alloc_bytes: alloc_report.peak_bytes,
-        digest: digest.hex(),
-    };
-    println!(
-        "events {}  jframes {}  record {:.3}s  live merge {:.3}s ({:.0} events/s)  lag p50/p99/max {}/{}/{} µs  peak buffered {}",
-        bench.events,
-        bench.jframes,
-        bench.record_s,
-        bench.merge_s,
-        bench.events_per_s(),
-        bench.lag_p50_us,
-        bench.lag_p99_us,
-        bench.lag_max_us,
-        bench.peak_buffered_events,
-    );
-    println!(
-        "alloc accounting: {:.4} allocs/event  peak heap {:.1} MB",
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_live.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
 }
 
 /// `sweep`: the standing golden-record matrix over adversarial traffic
@@ -1894,5 +1437,3 @@ fn run_baselines(seed: u64, scale: f64) {
         "(naive merging cannot unify duplicates across unsynchronized clocks: jframes ≈ events)"
     );
 }
-
-// (diagnostics appended during bring-up; kept: it prints with fig11)

@@ -5,12 +5,12 @@
 //! figure of the paper's evaluation. Criterion benchmarks (merge
 //! throughput, scaling, baselines) live under `benches/`.
 
+use jigsaw_analysis::Figure;
 use jigsaw_core::pipeline::{
-    CorpusSource, Pipeline, PipelineConfig, PipelineReport, WindowedCorpusSource,
+    CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineError, PipelineReport,
+    WindowedCorpusSource,
 };
-use jigsaw_core::shard::ShardConfig;
-use jigsaw_core::unify::MergeStats;
-use jigsaw_core::JFrame;
+use jigsaw_core::{JFrame, PipelineObserver};
 use jigsaw_ieee80211::MacAddr;
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
@@ -19,11 +19,10 @@ use jigsaw_sim::wired::WiredTraceRecord;
 use jigsaw_trace::corpus::{Corpus, CorpusError, CorpusSummary, CorpusWriter};
 use jigsaw_trace::digest::Fnv64;
 use jigsaw_trace::TimeWindow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 pub mod alloc;
 pub mod cli;
@@ -140,7 +139,7 @@ pub fn scenario_by_name(name: &str, seed: u64, scale: f64) -> Option<NamedScenar
     }
 }
 
-/// The source revision a bench record was produced at: `GITHUB_SHA` when
+/// The source revision a run was produced at: `GITHUB_SHA` when
 /// CI exports one, else the working tree's `git rev-parse`, else
 /// `"unknown"` — never an error, so bench runs work from a bare export.
 pub fn git_sha() -> String {
@@ -199,13 +198,7 @@ pub fn record_corpus(
 /// recorded before the wired member existed must be re-recorded.
 pub fn corpus_wired(
     corpus: &Corpus,
-) -> Result<
-    (
-        Vec<WiredTraceRecord>,
-        std::collections::HashMap<u16, MacAddr>,
-    ),
-    String,
-> {
+) -> Result<(Vec<WiredTraceRecord>, HashMap<u16, MacAddr>), String> {
     let payload = corpus
         .wired_payload()
         .map_err(|e| e.to_string())?
@@ -241,6 +234,139 @@ pub fn corpus_sources_windowed(
         .into_iter()
         .map(|s| WindowedCorpusSource::new(s, window))
         .collect())
+}
+
+/// A recorded corpus opened for pipeline passes: files present, digest
+/// verified, and the wired member (the Figure 6 inputs) decoded.
+pub struct OpenedCorpus {
+    /// The corpus.
+    pub corpus: Corpus,
+    /// The wired distribution-network trace.
+    wired: Vec<WiredTraceRecord>,
+    /// AP id → MAC, covering every AP a wired record names (the wired
+    /// decoder rejects a member that breaks this).
+    ap_table: HashMap<u16, MacAddr>,
+}
+
+/// What one [`OpenedCorpus::pass`] reports.
+#[derive(Debug)]
+pub struct PassReport {
+    /// The pipeline's end-of-run report.
+    pub pipeline: PipelineReport,
+    /// Disk bytes the pass read (bootstrap-window reads included).
+    pub disk_bytes_in: u64,
+}
+
+/// Opens the corpus at `dir`, checks it against its recorded digest, and
+/// decodes its wired member. Every failure — a missing directory, a
+/// digest mismatch, a bad wired member — is a one-line `Err`.
+pub fn open_corpus(dir: &Path) -> Result<OpenedCorpus, String> {
+    let corpus = Corpus::open(dir).map_err(|e| format!("open corpus {}: {e}", dir.display()))?;
+    let intact = corpus
+        .verify_digest()
+        .map_err(|e| format!("digest check of {}: {e}", dir.display()))?;
+    if !intact {
+        return Err(format!(
+            "corpus {} does not match its recorded digest (corrupt or tampered)",
+            dir.display()
+        ));
+    }
+    let (wired, ap_table) =
+        corpus_wired(&corpus).map_err(|e| format!("wired member of {}: {e}", dir.display()))?;
+    Ok(OpenedCorpus {
+        corpus,
+        wired,
+        ap_table,
+    })
+}
+
+impl OpenedCorpus {
+    /// The figure suite for a pass over `window` (the whole corpus when
+    /// `None`). A windowed suite compares against the wired records clipped
+    /// to the same window (wired timestamps are wall-clock, the timeline
+    /// the window is phrased in, up to the documented NTP tolerance).
+    pub fn suite(&self, window: Option<TimeWindow>) -> jigsaw_analysis::Suite {
+        let clipped: Vec<WiredTraceRecord>;
+        let wired = match window {
+            Some(w) => {
+                clipped = self
+                    .wired
+                    .iter()
+                    .filter(|r| w.contains(r.ts))
+                    .cloned()
+                    .collect();
+                &clipped
+            }
+            None => &self.wired,
+        };
+        let ap_lookup = |sid: u16| self.ap_table[&sid];
+        let m = self.corpus.manifest();
+        figure_suite_parts(m.radios.len(), m.duration_us, wired, &ap_lookup)
+    }
+
+    /// One pipeline pass over the corpus delivering every stream to `obs`:
+    /// index-seeked windowed sources when `cfg.window` is set (the one
+    /// place the window lives, so reads and emission clipping cannot
+    /// disagree), whole-corpus sources otherwise; the channel-sharded
+    /// driver when `parallel`, the serial one otherwise.
+    pub fn pass(
+        &self,
+        cfg: &PipelineConfig,
+        parallel: bool,
+        obs: impl PipelineObserver,
+    ) -> Result<PassReport, String> {
+        fn drive<I>(
+            sources: Vec<I>,
+            cfg: &PipelineConfig,
+            parallel: bool,
+            obs: impl PipelineObserver,
+        ) -> Result<PipelineReport, PipelineError>
+        where
+            I: EventSource,
+            I::Stream: Send + 'static,
+        {
+            if parallel {
+                Pipeline::run_parallel(sources, cfg, obs)
+            } else {
+                Pipeline::run(sources, cfg, obs)
+            }
+        }
+        let counter = Arc::new(AtomicU64::new(0));
+        let open_err = |e: CorpusError| format!("open corpus sources: {e}");
+        let pipeline = match cfg.window {
+            Some(w) => drive(
+                corpus_sources_windowed(&self.corpus, Arc::clone(&counter), w).map_err(open_err)?,
+                cfg,
+                parallel,
+                obs,
+            ),
+            None => drive(
+                corpus_sources(&self.corpus, Arc::clone(&counter)).map_err(open_err)?,
+                cfg,
+                parallel,
+                obs,
+            ),
+        }
+        .map_err(|e| format!("pipeline: {e}"))?;
+        Ok(PassReport {
+            pipeline,
+            disk_bytes_in: counter.load(Ordering::Relaxed),
+        })
+    }
+
+    /// A [`OpenedCorpus::pass`] streaming the figure suite for `cfg.window`,
+    /// with `extra` observing the same streams; returns the finished
+    /// figures.
+    pub fn figures(
+        &self,
+        cfg: &PipelineConfig,
+        parallel: bool,
+        extra: impl PipelineObserver,
+    ) -> Result<(Vec<Box<dyn Figure>>, PassReport), String> {
+        let mut suite = self.suite(cfg.window);
+        let report = self.pass(cfg, parallel, (&mut suite, extra))?;
+        Ok((suite.finish(), report))
+    }
 }
 
 /// A running digest over a jframe stream: count + order + content. Two
@@ -324,441 +450,6 @@ impl WindowedStreamDigest {
     }
 }
 
-/// Runs the full pipeline unobserved and returns the report
-/// (benchmarks; figure runners attach their own observers).
-pub fn run_pipeline_plain(out: &SimOutput) -> PipelineReport {
-    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), ()).expect("pipeline")
-}
-
-/// Wall-clocks the merge stage alone (bootstrap + unification, no-op sink):
-/// serial when `threads == Some(1)` or sharding is forced off, otherwise
-/// the channel-sharded parallel merge with the given thread cap
-/// (`None` → auto). Returns elapsed time and the merge counters.
-pub fn merge_wallclock(out: &SimOutput, threads: Option<usize>) -> (Duration, MergeStats) {
-    let cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: threads.unwrap_or(0),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    // Build the streams before the clock starts: the deep clone of every
-    // event buffer is setup cost, not merge cost, and counting it in both
-    // runs would bias the recorded speedup toward 1×.
-    let streams = out.memory_streams();
-    let t0 = Instant::now();
-    let (_, stats) = if threads == Some(1) {
-        Pipeline::merge_only(streams, &cfg, ()).expect("merge")
-    } else {
-        Pipeline::merge_only_parallel(streams, &cfg, ()).expect("merge")
-    };
-    (t0.elapsed(), stats)
-}
-
-/// A serial-vs-sharded merge comparison, serialized to `BENCH_merge.json`
-/// by the `repro` binary so CI and evaluation runs leave a machine-readable
-/// record of the merge-stage speedup.
-#[derive(Debug, Clone)]
-pub struct MergeBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events merged.
-    pub events: u64,
-    /// Distinct channels in the radio set (= maximum useful shards).
-    pub channels: usize,
-    /// Shard threads the parallel run actually used (the request is
-    /// capped at the number of distinct channels).
-    pub threads: usize,
-    /// CPU parallelism available to the process — interpret the speedup
-    /// against this: with fewer cores than shards the parallel run can
-    /// only tie or lose (thread overhead), with ≥ `channels` cores the
-    /// shards actually run concurrently.
-    pub cores: usize,
-    /// Serial merge wall-clock (seconds).
-    pub serial_s: f64,
-    /// Sharded merge wall-clock (seconds).
-    pub parallel_s: f64,
-    /// Jframes out of the serial merge.
-    pub jframes_serial: u64,
-    /// Jframes out of the sharded merge.
-    pub jframes_parallel: u64,
-    /// Allocator calls per event during the timed serial merge — the
-    /// zero-copy payload path's headline metric. 0.0 when the counting
-    /// allocator is not installed (see [`alloc::counting_installed`]).
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the timed serial merge (process-wide
-    /// high-water mark; the event buffers themselves are part of it).
-    pub peak_alloc_bytes: u64,
-}
-
-impl MergeBench {
-    /// Runs both mergers over the same simulated world.
-    pub fn run(out: &SimOutput, scenario: &str, seed: u64, scale: f64, threads: usize) -> Self {
-        let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-        // Untimed warmup pass: fault in every event buffer and warm the
-        // allocator so the first timed run is not charged for cold caches
-        // (without this, whichever merger runs first looks slower).
-        let _ = merge_wallclock(out, Some(1));
-        let region = alloc::AllocRegion::begin();
-        let (serial_t, serial_stats) = merge_wallclock(out, Some(1));
-        let alloc_report = region.end();
-        // Record the shard count that actually runs, not the request:
-        // run_sharded never spawns more shards than distinct channels.
-        let want = if threads == 0 { channels } else { threads };
-        let effective = ShardConfig {
-            max_threads: want,
-            ..ShardConfig::default()
-        }
-        .shards_for(channels);
-        let (par_t, par_stats) = merge_wallclock(out, Some(want));
-        MergeBench {
-            scenario: scenario.to_string(),
-            seed,
-            git_sha: git_sha(),
-            scale,
-            events: serial_stats.events_in,
-            channels,
-            threads: effective,
-            cores: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            serial_s: serial_t.as_secs_f64(),
-            parallel_s: par_t.as_secs_f64(),
-            jframes_serial: serial_stats.jframes_out,
-            jframes_parallel: par_stats.jframes_out,
-            allocs_per_event: alloc_report.per_event(serial_stats.events_in),
-            peak_alloc_bytes: alloc_report.peak_bytes,
-        }
-    }
-
-    /// Serial time / parallel time.
-    pub fn speedup(&self) -> f64 {
-        self.serial_s / self.parallel_s.max(1e-12)
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"channels\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"cores\": {},\n",
-                "  \"serial_s\": {:.6},\n",
-                "  \"parallel_s\": {:.6},\n",
-                "  \"speedup\": {:.3},\n",
-                "  \"jframes_serial\": {},\n",
-                "  \"jframes_parallel\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {}\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.channels,
-            self.threads,
-            self.cores,
-            self.serial_s,
-            self.parallel_s,
-            self.speedup(),
-            self.jframes_serial,
-            self.jframes_parallel,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-        )
-    }
-}
-
-/// A disk-streaming benchmark record, serialized to `BENCH_stream.json` by
-/// `repro bench-stream`: record throughput (simulate → corpus on disk) and
-/// merge throughput (corpus on disk → jframe stream), with the memory and
-/// I/O numbers that make the bounded-memory claim checkable — peak buffered
-/// events and disk bytes in/out.
-#[derive(Debug, Clone)]
-pub struct StreamBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events recorded and re-merged.
-    pub events: u64,
-    /// Jframes out of the streaming merge.
-    pub jframes: u64,
-    /// Distinct channels (= maximum useful merge shards).
-    pub channels: usize,
-    /// Shard threads the streaming merge ran with (1 = serial).
-    pub threads: usize,
-    /// CPU parallelism available to the process.
-    pub cores: usize,
-    /// Corpus write wall-clock (seconds), excluding simulation.
-    pub record_s: f64,
-    /// Bytes written to disk (compressed data + index files).
-    pub disk_bytes_out: u64,
-    /// Streaming merge wall-clock (seconds), bootstrap included.
-    pub merge_s: f64,
-    /// Bytes read back from disk during the merge (bootstrap-window reads
-    /// included — slightly more than the file sizes because window blocks
-    /// are decoded twice).
-    pub disk_bytes_in: u64,
-    /// Peak events simultaneously buffered across all shard mergers
-    /// (upper bound; see `MergeStats::peak_buffered`).
-    pub peak_buffered_events: u64,
-    /// Allocator calls per event during the streaming merge (block decode
-    /// included — the leg the zero-copy payload path optimizes). 0.0 when
-    /// the counting allocator is not installed.
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the streaming merge (process-wide
-    /// high-water mark).
-    pub peak_alloc_bytes: u64,
-    /// Digest of the emitted jframe stream (count is `jframes`).
-    pub digest: String,
-    /// The seek-bounded windowed replay of the same corpus, when
-    /// `bench-stream --from/--to` ran one.
-    pub window: Option<WindowBench>,
-}
-
-/// The windowed leg of a `bench-stream` run: the same corpus replayed
-/// through index-seeked, `[from, to)`-clipped sources, recording how much
-/// cheaper the seek-bounded replay is than the full scan.
-#[derive(Debug, Clone)]
-pub struct WindowBench {
-    /// Window start, anchor-universal µs.
-    pub from: u64,
-    /// Window end (exclusive), anchor-universal µs.
-    pub to: u64,
-    /// Events merged inside the read window (warm-up + slack included).
-    pub events: u64,
-    /// In-window jframes emitted.
-    pub jframes: u64,
-    /// Windowed merge wall-clock (seconds), mid-trace bootstrap included.
-    pub merge_s: f64,
-    /// Disk bytes read by the windowed replay — bounded by the window's
-    /// blocks, the number that makes "cost proportional to the window"
-    /// checkable.
-    pub disk_bytes_in: u64,
-}
-
-impl StreamBench {
-    /// Events merged per second of merge wall-clock.
-    pub fn events_per_s(&self) -> f64 {
-        self.events as f64 / self.merge_s.max(1e-12)
-    }
-
-    /// Write throughput in MB/s (compressed bytes hitting disk).
-    pub fn write_mb_s(&self) -> f64 {
-        self.disk_bytes_out as f64 / 1e6 / self.record_s.max(1e-12)
-    }
-
-    /// Read throughput in MB/s during the merge.
-    pub fn read_mb_s(&self) -> f64 {
-        self.disk_bytes_in as f64 / 1e6 / self.merge_s.max(1e-12)
-    }
-
-    /// Full-scan merge time / windowed merge time — the payoff of the
-    /// index-seeked replay (1.0 when no windowed leg ran).
-    pub fn seek_speedup(&self) -> f64 {
-        match &self.window {
-            Some(w) => self.merge_s / w.merge_s.max(1e-12),
-            None => 1.0,
-        }
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        let window = match &self.window {
-            None => String::new(),
-            Some(w) => format!(
-                concat!(
-                    "  \"window_from\": {},\n",
-                    "  \"window_to\": {},\n",
-                    "  \"window_events\": {},\n",
-                    "  \"window_jframes\": {},\n",
-                    "  \"window_merge_s\": {:.6},\n",
-                    "  \"window_disk_bytes_in\": {},\n",
-                    "  \"seek_speedup\": {:.3},\n",
-                ),
-                w.from,
-                w.to,
-                w.events,
-                w.jframes,
-                w.merge_s,
-                w.disk_bytes_in,
-                self.seek_speedup(),
-            ),
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"jframes\": {},\n",
-                "  \"channels\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"cores\": {},\n",
-                "  \"record_s\": {:.6},\n",
-                "  \"disk_bytes_out\": {},\n",
-                "  \"write_mb_s\": {:.3},\n",
-                "  \"merge_s\": {:.6},\n",
-                "  \"disk_bytes_in\": {},\n",
-                "  \"read_mb_s\": {:.3},\n",
-                "  \"events_per_s\": {:.0},\n",
-                "{}",
-                "  \"peak_buffered_events\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {},\n",
-                "  \"digest\": \"{}\"\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.jframes,
-            self.channels,
-            self.threads,
-            self.cores,
-            self.record_s,
-            self.disk_bytes_out,
-            self.write_mb_s(),
-            self.merge_s,
-            self.disk_bytes_in,
-            self.read_mb_s(),
-            self.events_per_s(),
-            window,
-            self.peak_buffered_events,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-            self.digest,
-        )
-    }
-}
-
-/// A live-ingest benchmark record, serialized to `BENCH_live.json` by
-/// `repro bench-live`: throughput of the chunk-fed live merge (corpus on
-/// disk → tailed sources → jframe stream) plus the numbers the bounded-lag
-/// contract makes checkable — emission-lag quantiles and peak buffered
-/// events.
-#[derive(Debug, Clone)]
-pub struct LiveBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events recorded and live-merged.
-    pub events: u64,
-    /// Jframes out of the live merge.
-    pub jframes: u64,
-    /// Live sources (one tailed trace per radio).
-    pub sources: usize,
-    /// Chunk size each tail was fed in, bytes.
-    pub chunk_bytes: usize,
-    /// Corpus write wall-clock (seconds), excluding simulation.
-    pub record_s: f64,
-    /// Live merge wall-clock (seconds), bootstrap included.
-    pub merge_s: f64,
-    /// Median emission lag: jframe timestamp behind the safe horizon at
-    /// emission, trace µs.
-    pub lag_p50_us: u64,
-    /// 99th-percentile emission lag, trace µs.
-    pub lag_p99_us: u64,
-    /// Worst emission lag observed, trace µs (the bounded-lag contract
-    /// caps this at `2×search_window` plus one batch of slack).
-    pub lag_max_us: u64,
-    /// Peak events simultaneously buffered in the live merger.
-    pub peak_buffered_events: u64,
-    /// Allocator calls per event during the live merge (chunk staging and
-    /// block decode included). 0.0 when the counting allocator is not
-    /// installed.
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the live merge (process-wide
-    /// high-water mark).
-    pub peak_alloc_bytes: u64,
-    /// Digest of the emitted jframe stream (count is `jframes`).
-    pub digest: String,
-}
-
-impl LiveBench {
-    /// Events merged per second of live-merge wall-clock.
-    pub fn events_per_s(&self) -> f64 {
-        self.events as f64 / self.merge_s.max(1e-12)
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"jframes\": {},\n",
-                "  \"sources\": {},\n",
-                "  \"chunk_bytes\": {},\n",
-                "  \"record_s\": {:.6},\n",
-                "  \"merge_s\": {:.6},\n",
-                "  \"events_per_s\": {:.0},\n",
-                "  \"lag_p50_us\": {},\n",
-                "  \"lag_p99_us\": {},\n",
-                "  \"lag_max_us\": {},\n",
-                "  \"peak_buffered_events\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {},\n",
-                "  \"digest\": \"{}\"\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.jframes,
-            self.sources,
-            self.chunk_bytes,
-            self.record_s,
-            self.merge_s,
-            self.events_per_s(),
-            self.lag_p50_us,
-            self.lag_p99_us,
-            self.lag_max_us,
-            self.peak_buffered_events,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-            self.digest,
-        )
-    }
-}
-
 /// Builds memory streams for a subset of radios (Figure 7 pod reduction).
 pub fn subset_streams(
     out: &SimOutput,
@@ -831,95 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_bench_json_shape() {
-        let mut b = StreamBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.25,
-            events: 1_000_000,
-            jframes: 400_000,
-            channels: 3,
-            threads: 3,
-            cores: 4,
-            record_s: 2.0,
-            disk_bytes_out: 50_000_000,
-            merge_s: 4.0,
-            disk_bytes_in: 52_000_000,
-            peak_buffered_events: 12_345,
-            allocs_per_event: 0.0312,
-            peak_alloc_bytes: 7_654_321,
-            digest: "0123456789abcdef".into(),
-            window: None,
-        };
-        assert!((b.events_per_s() - 250_000.0).abs() < 1e-6);
-        assert!((b.write_mb_s() - 25.0).abs() < 1e-6);
-        assert!((b.read_mb_s() - 13.0).abs() < 1e-6);
-        assert!((b.seek_speedup() - 1.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"events_per_s\": 250000"));
-        assert!(j.contains("\"seed\": 20060124"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.contains("\"peak_buffered_events\": 12345"));
-        assert!(j.contains("\"allocs_per_event\": 0.0312"));
-        assert!(j.contains("\"peak_alloc_bytes\": 7654321"));
-        assert!(j.contains("\"digest\": \"0123456789abcdef\""));
-        assert!(!j.contains("window_from"), "no window leg, no window keys");
-        assert!(j.trim_end().ends_with('}'));
-
-        b.window = Some(WindowBench {
-            from: 10_000_000,
-            to: 20_000_000,
-            events: 120_000,
-            jframes: 48_000,
-            merge_s: 0.5,
-            disk_bytes_in: 6_500_000,
-        });
-        assert!((b.seek_speedup() - 8.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"window_from\": 10000000"));
-        assert!(j.contains("\"window_disk_bytes_in\": 6500000"));
-        assert!(j.contains("\"seek_speedup\": 8.000"));
-        assert!(j.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn live_bench_json_shape() {
-        let b = LiveBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.05,
-            events: 500_000,
-            jframes: 200_000,
-            sources: 8,
-            chunk_bytes: 65_536,
-            record_s: 1.0,
-            merge_s: 2.0,
-            lag_p50_us: 9_000,
-            lag_p99_us: 19_500,
-            lag_max_us: 20_000,
-            peak_buffered_events: 4_321,
-            allocs_per_event: 0.125,
-            peak_alloc_bytes: 1_234_567,
-            digest: "0123456789abcdef".into(),
-        };
-        assert!((b.events_per_s() - 250_000.0).abs() < 1e-6);
-        let j = b.to_json();
-        assert!(j.contains("\"scenario\": \"paper_day\""));
-        assert!(j.contains("\"events_per_s\": 250000"));
-        assert!(j.contains("\"chunk_bytes\": 65536"));
-        assert!(j.contains("\"lag_p50_us\": 9000"));
-        assert!(j.contains("\"lag_p99_us\": 19500"));
-        assert!(j.contains("\"lag_max_us\": 20000"));
-        assert!(j.contains("\"peak_buffered_events\": 4321"));
-        assert!(j.contains("\"allocs_per_event\": 0.1250"));
-        assert!(j.contains("\"peak_alloc_bytes\": 1234567"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.trim_end().ends_with('}'));
-    }
-
-    #[test]
     fn windowed_stream_digest_is_order_insensitive_within_channel() {
         use jigsaw_core::jframe::{Instance, JFrame};
         use jigsaw_ieee80211::{Channel, PhyRate};
@@ -971,34 +573,5 @@ mod tests {
             moved.observe(&f);
         }
         assert_ne!(fwd.hex(), moved.hex());
-    }
-
-    #[test]
-    fn merge_bench_json_shape() {
-        let b = MergeBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.25,
-            events: 1000,
-            channels: 3,
-            threads: 3,
-            cores: 4,
-            serial_s: 3.0,
-            parallel_s: 1.5,
-            jframes_serial: 400,
-            jframes_parallel: 400,
-            allocs_per_event: 0.0417,
-            peak_alloc_bytes: 9_876_543,
-        };
-        assert!((b.speedup() - 2.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"speedup\": 2.000"));
-        assert!(j.contains("\"scenario\": \"paper_day\""));
-        assert!(j.contains("\"seed\": 20060124"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.contains("\"allocs_per_event\": 0.0417"));
-        assert!(j.contains("\"peak_alloc_bytes\": 9876543"));
-        assert!(j.trim_end().ends_with('}'));
     }
 }

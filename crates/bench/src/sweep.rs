@@ -28,22 +28,16 @@
 //! analysis shows up as a named line in a named scenario. Intentional
 //! changes re-bless with `repro sweep --bless`.
 
-use crate::{
-    corpus_sources, corpus_sources_windowed, corpus_wired, figure_suite_parts, record_corpus,
-    JframeStreamDigest, WindowedStreamDigest,
-};
+use crate::{open_corpus, record_corpus, JframeStreamDigest, WindowedStreamDigest};
 use jigsaw_analysis::suite::record_lines;
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::shard::ShardConfig;
 use jigsaw_core::JFrame;
 use jigsaw_sim::spec::ScenarioSpec;
-use jigsaw_trace::corpus::Corpus;
 use jigsaw_trace::TimeWindow;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// The seed every golden file is blessed at (the paper's trace date).
 pub const SWEEP_SEED: u64 = 20060124;
@@ -148,7 +142,7 @@ pub fn run_scenario(
     )
     .map_err(|e| format!("{name}: in-memory serial merge: {e}"))?;
     let mut mem_sharded = JframeStreamDigest::new();
-    Pipeline::merge_only_parallel(
+    Pipeline::run_parallel(
         out.memory_streams(),
         &sharded,
         OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
@@ -156,38 +150,17 @@ pub fn run_scenario(
     .map_err(|e| format!("{name}: in-memory sharded merge: {e}"))?;
     drop(out);
 
-    let corpus = Corpus::open(&dir).map_err(|e| format!("{name}: open corpus: {e}"))?;
-    if !corpus
-        .verify_digest()
-        .map_err(|e| format!("{name}: digest check: {e}"))?
-    {
-        return Err(format!("{name}: corpus files do not match their digest"));
+    let corpus = open_corpus(&dir).map_err(|e| format!("{name}: {e}"))?;
+    let drivers = [("serial", &serial, false), ("sharded", &sharded, true)];
+    let mut legs = vec![("mem-sharded".to_string(), mem_sharded)];
+    for (driver, cfg, parallel) in drivers {
+        let mut digest = JframeStreamDigest::new();
+        corpus
+            .pass(cfg, parallel, OnJFrame(|jf: &JFrame| digest.observe(jf)))
+            .map_err(|e| format!("{name}: disk {driver} merge: {e}"))?;
+        legs.push((format!("disk-{driver}"), digest));
     }
-    let mut disk_serial = JframeStreamDigest::new();
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources(&corpus, Arc::clone(&counter))
-        .map_err(|e| format!("{name}: open sources: {e}"))?;
-    Pipeline::merge_only(
-        sources,
-        &serial,
-        OnJFrame(|jf: &JFrame| disk_serial.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: disk serial merge: {e}"))?;
-    let mut disk_sharded = JframeStreamDigest::new();
-    let sources = corpus_sources(&corpus, Arc::clone(&counter))
-        .map_err(|e| format!("{name}: open sources: {e}"))?;
-    Pipeline::merge_only_parallel(
-        sources,
-        &sharded,
-        OnJFrame(|jf: &JFrame| disk_sharded.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: disk sharded merge: {e}"))?;
-
-    for (leg, d) in [
-        ("mem-sharded", &mem_sharded),
-        ("disk-serial", &disk_serial),
-        ("disk-sharded", &disk_sharded),
-    ] {
+    for (leg, d) in &legs {
         if d.count() != mem_serial.count() || d.hex() != mem_serial.hex() {
             return Err(format!(
                 "{name}: {leg} merge diverged: {} jframes / {} vs mem-serial {} jframes / {}",
@@ -203,12 +176,16 @@ pub fn run_scenario(
     }
 
     // Leg 2 — the figure suite's machine records, serial vs sharded.
-    let lines_serial = analyze_records(&corpus, &serial, false)
-        .map_err(|e| format!("{name}: serial analyze: {e}"))?;
-    let lines_sharded = analyze_records(&corpus, &sharded, true)
-        .map_err(|e| format!("{name}: sharded analyze: {e}"))?;
+    let mut lines = Vec::new();
+    for (driver, cfg, parallel) in drivers {
+        let (figures, _) = corpus
+            .figures(cfg, parallel, ())
+            .map_err(|e| format!("{name}: {driver} analyze: {e}"))?;
+        lines.push(record_lines(&figures));
+    }
+    let (lines_serial, lines_sharded) = (&lines[0], &lines[1]);
     if lines_serial != lines_sharded {
-        let diff = diff_lines(&lines_serial, &lines_sharded)
+        let diff = diff_lines(lines_serial, lines_sharded)
             .unwrap_or_else(|| "  (diff unavailable)\n".into());
         return Err(format!(
             "{name}: analyze record lines differ between serial and sharded drivers:\n{diff}"
@@ -217,6 +194,7 @@ pub fn run_scenario(
 
     // Leg 3 — the windowed replay over the middle third of the span.
     let span = corpus
+        .corpus
         .universal_span()
         .map_err(|e| format!("{name}: read indexes: {e}"))?
         .ok_or_else(|| format!("{name}: corpus records no events"))?;
@@ -224,15 +202,19 @@ pub fn run_scenario(
     let third = (hi - lo) / 3;
     let window = TimeWindow::new(lo + third, lo + 2 * third)
         .ok_or_else(|| format!("{name}: corpus span [{lo}, {hi}] too short to window"))?;
-    let mut wserial = serial.clone();
-    wserial.window = Some(window);
-    let mut wsharded = sharded.clone();
-    wsharded.window = Some(window);
-
-    let win_serial = windowed_digest(&corpus, &wserial, false, window)
-        .map_err(|e| format!("{name}: windowed serial merge: {e}"))?;
-    let win_sharded = windowed_digest(&corpus, &wsharded, true, window)
-        .map_err(|e| format!("{name}: windowed sharded merge: {e}"))?;
+    let mut windowed = Vec::new();
+    for (driver, cfg, parallel) in drivers {
+        let cfg = PipelineConfig {
+            window: Some(window),
+            ..cfg.clone()
+        };
+        let mut digest = WindowedStreamDigest::new();
+        corpus
+            .pass(&cfg, parallel, OnJFrame(|jf: &JFrame| digest.observe(jf)))
+            .map_err(|e| format!("{name}: windowed {driver} merge: {e}"))?;
+        windowed.push(digest);
+    }
+    let (win_serial, win_sharded) = (&windowed[0], &windowed[1]);
     // Both drivers must agree on the windowed replay exactly; the digest
     // itself is then pinned by the golden file. (Equality with a
     // clipped-full replay is deliberately NOT asserted here: it holds only
@@ -262,53 +244,11 @@ pub fn run_scenario(
         window,
         window_jframes: win_serial.count(),
         window_digest: win_serial.hex(),
-        record_lines: lines_serial,
+        record_lines: lines_serial.clone(),
         golden_body: String::new(),
     };
     run.golden_body = golden_body(&run);
     Ok(run)
-}
-
-/// Streams the full figure suite off a corpus and returns its machine
-/// `record` lines.
-fn analyze_records(
-    corpus: &Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-) -> Result<String, String> {
-    let m = corpus.manifest();
-    let (wired, ap_table) = corpus_wired(corpus)?;
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite = figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources(corpus, counter).map_err(|e| e.to_string())?;
-    if parallel {
-        Pipeline::run_parallel(sources, cfg, &mut suite)
-    } else {
-        Pipeline::run(sources, cfg, &mut suite)
-    }
-    .map_err(|e| e.to_string())?;
-    Ok(record_lines(&suite.finish()))
-}
-
-/// Merges a corpus through index-seeked windowed sources, returning the
-/// clock-invariant window digest. `cfg.window` must already be set.
-fn windowed_digest(
-    corpus: &Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-    window: TimeWindow,
-) -> Result<WindowedStreamDigest, String> {
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources_windowed(corpus, counter, window).map_err(|e| e.to_string())?;
-    let mut digest = WindowedStreamDigest::new();
-    let r = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-    };
-    r.map_err(|e| e.to_string())?;
-    Ok(digest)
 }
 
 /// Serializes a run to its golden-file body: a short header of pinned

@@ -67,7 +67,7 @@ fn missing_required_corpus_exits_2() {
 
 #[test]
 fn tail_shares_the_usage_contract() {
-    // The live subcommands ride the same declarative flag table: values
+    // The live subcommand rides the same declarative flag table: values
     // validate eagerly, missing values and unknown flags die identically,
     // and the one-subcommand rule holds.
     assert_usage_error(&["--chunk-bytes", "big", "tail"]);
@@ -76,9 +76,6 @@ fn tail_shares_the_usage_contract() {
     assert_usage_error(&["--max-lag-us", "forever", "tail"]);
     assert_usage_error(&["--max-lag-us"]);
     assert_usage_error(&["tail", "extra-subcommand"]);
-    assert_usage_error(&["--chunk-bytes", "soon", "bench-live"]);
-    assert_usage_error(&["--seed", "notanumber", "bench-live"]);
-    assert_usage_error(&["bench-live", "extra-subcommand"]);
 }
 
 #[test]

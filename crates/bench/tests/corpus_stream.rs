@@ -55,7 +55,7 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
         ..PipelineConfig::default()
     };
     let mut mem_sharded = JframeStreamDigest::new();
-    Pipeline::merge_only_parallel(
+    Pipeline::run_parallel(
         out.memory_streams(),
         &par_cfg,
         OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
@@ -70,11 +70,11 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
         let counter = Arc::new(AtomicU64::new(0));
         let sources = corpus_sources(&corpus, Arc::clone(&counter)).unwrap();
         let mut digest = JframeStreamDigest::new();
-        let (_, stats) = if parallel {
-            Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-                .unwrap()
+        let obs = OnJFrame(|jf: &JFrame| digest.observe(jf));
+        let stats = if parallel {
+            Pipeline::run_parallel(sources, cfg, obs).unwrap().merge
         } else {
-            Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf))).unwrap()
+            Pipeline::merge_only(sources, cfg, obs).unwrap().1
         };
         (digest, stats, counter.load(Ordering::Relaxed))
     };

@@ -90,13 +90,13 @@ fn sharded_tail_digest(chunk: usize) -> (u64, String, u64) {
         .map(|t| TailStream::open(t).unwrap())
         .collect();
     let mut digest = JframeStreamDigest::new();
-    let (_, stats) = Pipeline::merge_only_parallel(
+    let report = Pipeline::run_parallel(
         sources,
         &PipelineConfig::default(),
         OnJFrame(|jf: &JFrame| digest.observe(jf)),
     )
     .unwrap();
-    (digest.count(), digest.hex(), stats.events_in)
+    (digest.count(), digest.hex(), report.merge.events_in)
 }
 
 fn assert_matches_batch(chunk: usize, driver: &str, got: (u64, String, u64)) {

@@ -136,10 +136,10 @@ fn matrix_scenarios_survive_record_and_dual_driver_merge() {
             let mut disk = JframeStreamDigest::new();
             let obs = OnJFrame(|jf: &JFrame| disk.observe(jf));
             if parallel {
-                Pipeline::merge_only_parallel(sources, &sharded_cfg, obs).expect("merge")
+                Pipeline::run_parallel(sources, &sharded_cfg, obs).expect("merge");
             } else {
-                Pipeline::merge_only(sources, &serial_cfg, obs).expect("merge")
-            };
+                Pipeline::merge_only(sources, &serial_cfg, obs).expect("merge");
+            }
             assert_eq!(
                 (disk.count(), disk.hex()),
                 (mem.count(), mem.hex()),

@@ -78,14 +78,11 @@ fn windowed_jframes(corpus: &Corpus, window: TimeWindow, parallel: bool) -> (Vec
     };
     let mut out = Vec::new();
     let run = |sources, cfg: &PipelineConfig, out: &mut Vec<JFrame>| {
+        let obs = OnJFrame(|jf: &JFrame| out.push(jf.clone()));
         if parallel {
-            Pipeline::merge_only_parallel(
-                sources,
-                cfg,
-                OnJFrame(|jf: &JFrame| out.push(jf.clone())),
-            )
+            Pipeline::run_parallel(sources, cfg, obs).map(|r| r.merge)
         } else {
-            Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| out.push(jf.clone())))
+            Pipeline::merge_only(sources, cfg, obs).map(|(_, stats)| stats)
         }
     };
     run(sources, &cfg, &mut out).unwrap();

@@ -29,13 +29,19 @@
 //! clock-invariant membership rule and the equivalence contract a windowed
 //! replay is pinned against.
 //!
-//! Two drivers share every stage:
-//! * [`Pipeline::run`] — the serial merger;
+//! Two drivers share every stage — one private pass opens the sources,
+//! bootstraps, clips, and merges through [`crate::shard::run_sharded`]:
+//! * [`Pipeline::run`] — the serial merger: a single shard, which
+//!   `run_sharded` runs inline on the calling thread;
 //! * [`Pipeline::run_parallel`] — the channel-sharded merge
 //!   ([`crate::shard`]): one merge thread per channel shard, with
 //!   link/transport reconstruction consuming the K-way-merged jframe
 //!   stream on the calling thread (so merging and reconstruction
 //!   overlap). Output is jframe-for-jframe identical to the serial driver.
+//!
+//! [`Pipeline::merge_only`] stops after unification (serial), and
+//! [`Reconstruction`] is the post-unification chain on its own, for drivers
+//! that produce jframes outside [`Pipeline`].
 
 use crate::jframe::JFrame;
 use crate::link::attempt::{Attempt, AttemptAssembler, AttemptStats};
@@ -44,7 +50,7 @@ use crate::observer::{OnExchange, OnJFrame, PipelineObserver};
 use crate::shard::ShardConfig;
 use crate::sync::bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError, BootstrapReport};
 use crate::transport::flow::{FlowRecord, TransportAnalyzer, TransportStats};
-use crate::unify::{MergeConfig, MergeStats, Merger};
+use crate::unify::{MergeConfig, MergeStats};
 use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::EventStream;
@@ -60,7 +66,7 @@ pub struct PipelineConfig {
     pub bootstrap: BootstrapConfig,
     /// Unification parameters.
     pub merge: MergeConfig,
-    /// Channel-sharding parameters (the parallel drivers only).
+    /// Channel-sharding parameters ([`Pipeline::run_parallel`] only).
     pub shard: ShardConfig,
     /// Replay window: when set, only jframes whose anchor-time key falls
     /// in `[from, to)` reach the observer (see [`WindowClipper`] for the
@@ -430,16 +436,21 @@ impl<S: EventStream> SourceSet<S> {
     }
 }
 
-/// Everything downstream of unification: attempt assembly → exchange
+/// The post-unification reconstruction chain: attempt assembly → exchange
 /// assembly → transport reconstruction, plus the exchange reordering heap
 /// (exchanges close out of order — a delivered exchange closes at its ACK,
 /// an ambiguous one lingers to the 500 ms timeout — but transport
 /// reconstruction needs transmission-time order, so closed exchanges sit in
 /// a small heap until a 1 s watermark passes them).
 ///
-/// Both the serial and the sharded drivers feed this consumer, so parallel
-/// runs reconstruct exactly what serial runs reconstruct.
-struct Downstream<O> {
+/// Every [`Pipeline`] driver feeds this consumer, so sharded runs
+/// reconstruct exactly what serial runs reconstruct; drivers that produce
+/// jframes *outside* [`Pipeline`] — the live tail driver chief among them —
+/// use it directly. Push unified jframes in emission order via
+/// [`Reconstruction::push`], then call [`Reconstruction::finish`] exactly
+/// once: the observer sees the identical callback stream it would see from
+/// a batch [`Pipeline::run`] over the same jframes.
+pub struct Reconstruction<O> {
     attempts: AttemptAssembler,
     exchanges: ExchangeAssembler,
     transport: TransportAnalyzer,
@@ -453,9 +464,10 @@ struct Downstream<O> {
 
 const REORDER_HORIZON_US: u64 = 1_000_000;
 
-impl<O: PipelineObserver> Downstream<O> {
-    fn new(obs: O) -> Self {
-        Downstream {
+impl<O: PipelineObserver> Reconstruction<O> {
+    /// Wraps an observer; see [`Pipeline::run`] for the observer contract.
+    pub fn new(obs: O) -> Self {
+        Reconstruction {
             attempts: AttemptAssembler::new(),
             exchanges: ExchangeAssembler::new(),
             transport: TransportAnalyzer::new(),
@@ -476,7 +488,8 @@ impl<O: PipelineObserver> Downstream<O> {
         }
     }
 
-    fn observe(&mut self, jf: &JFrame) {
+    /// Feeds one unified jframe (must arrive in emission order).
+    pub fn push(&mut self, jf: &JFrame) {
         self.obs.on_jframe(jf);
         self.attempts.push(jf, &mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
@@ -496,7 +509,10 @@ impl<O: PipelineObserver> Downstream<O> {
         }
     }
 
-    fn finish(mut self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
+    /// Flushes every assembler and delivers the flow records, returning
+    /// `(attempts, link, flows, transport)` — the same aggregates
+    /// [`PipelineReport`] carries.
+    pub fn finish(mut self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
         self.attempts.finish(&mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
             self.obs.on_attempt(&a);
@@ -520,38 +536,71 @@ impl<O: PipelineObserver> Downstream<O> {
     }
 }
 
-/// Public handle over the post-unification reconstruction chain (attempt
-/// assembly → exchange assembly → transport reconstruction, with the same
-/// exchange reordering [`Pipeline::run`] applies) for drivers that produce
-/// jframes *outside* [`Pipeline`] — the live tail driver chief among them.
-///
-/// Push unified jframes in emission order via [`Reconstruction::push`], then
-/// call [`Reconstruction::finish`] exactly once. An observer fed this way
-/// sees the identical callback stream it would see from a batch
-/// [`Pipeline::run`] over the same jframes.
-pub struct Reconstruction<O> {
-    inner: Downstream<O>,
+/// The serial drivers' shard layout: a single shard, which
+/// [`crate::shard::run_sharded`] runs as a plain inline
+/// [`Merger`](crate::unify::Merger) on the calling thread (batching and
+/// queue depth never come into play).
+const SERIAL: ShardConfig = ShardConfig {
+    max_threads: 1,
+    batch: 1,
+    queue_batches: 1,
+};
+
+/// The one pass behind every driver: open the sources, bootstrap the clocks
+/// over their windows, merge through [`crate::shard::run_sharded`] with the
+/// `shard` layout, and hand every jframe the replay window admits to `sink`.
+fn merge_pass<I>(
+    sources: Vec<I>,
+    cfg: &PipelineConfig,
+    shard: &ShardConfig,
+    mut sink: impl FnMut(&JFrame),
+) -> Result<(BootstrapReport, MergeStats), PipelineError>
+where
+    I: EventSource,
+    I::Stream: Send + 'static,
+{
+    let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
+    let boot = set.bootstrap(&cfg.bootstrap)?;
+    let clip = set.clipper(cfg);
+    let (streams, seeds, refs) = set.into_merge_input();
+    let stats = crate::shard::run_sharded(
+        streams,
+        &boot.offsets,
+        seeds,
+        &refs,
+        &cfg.merge,
+        shard,
+        |jf| {
+            if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
+                sink(&jf);
+            }
+        },
+    )?;
+    Ok((boot, stats))
 }
 
-impl<O: PipelineObserver> Reconstruction<O> {
-    /// Wraps an observer; see [`Pipeline::run`] for the observer contract.
-    pub fn new(obs: O) -> Self {
-        Reconstruction {
-            inner: Downstream::new(obs),
-        }
-    }
-
-    /// Feeds one unified jframe (must arrive in emission order).
-    pub fn push(&mut self, jf: &JFrame) {
-        self.inner.observe(jf);
-    }
-
-    /// Flushes every assembler and delivers the flow records, returning
-    /// `(attempts, link, flows, transport)` — the same aggregates
-    /// [`PipelineReport`] carries.
-    pub fn finish(self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
-        self.inner.finish()
-    }
+/// [`merge_pass`] feeding a [`Reconstruction`] over `obs`.
+fn full_pass<I>(
+    sources: Vec<I>,
+    cfg: &PipelineConfig,
+    shard: &ShardConfig,
+    obs: impl PipelineObserver,
+) -> Result<PipelineReport, PipelineError>
+where
+    I: EventSource,
+    I::Stream: Send + 'static,
+{
+    let mut rec = Reconstruction::new(obs);
+    let (bootstrap, merge) = merge_pass(sources, cfg, shard, |jf| rec.push(jf))?;
+    let (attempts, link, flows, transport) = rec.finish();
+    Ok(PipelineReport {
+        bootstrap,
+        merge,
+        attempts,
+        link,
+        flows,
+        transport,
+    })
 }
 
 /// The pipeline driver.
@@ -559,7 +608,8 @@ pub struct Pipeline;
 
 impl Pipeline {
     /// Runs the full pipeline over per-radio sources (streams or disk
-    /// corpus radios), delivering every output stream to `obs`.
+    /// corpus radios) with the serial merger, delivering every output
+    /// stream to `obs`.
     ///
     /// The observer receives every unified jframe, every transmission
     /// attempt (the paper's §7.2 interference analysis operates on
@@ -568,44 +618,25 @@ impl Pipeline {
     /// Pass `()` for no observation, a closure adapter such as
     /// [`OnJFrame`] for one stream, a tuple to fan out to several
     /// analyses, or `&mut analysis` to keep the analysis afterwards.
-    pub fn run<I: EventSource>(
+    pub fn run<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
         obs: impl PipelineObserver,
-    ) -> Result<PipelineReport, PipelineError> {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-
-        let (streams, seeds, refs) = set.into_merge_input();
-        let mut merger = Merger::new_at(streams, &boot.offsets, &refs, cfg.merge.clone());
-        for (r, seed) in seeds.into_iter().enumerate() {
-            merger.seed_pending(r, seed);
-        }
-        let mut ds = Downstream::new(obs);
-        let merge_stats = merger.run(|jf| {
-            if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                ds.observe(&jf);
-            }
-        })?;
-        let (attempts, link, flows, transport) = ds.finish();
-
-        Ok(PipelineReport {
-            bootstrap: boot,
-            merge: merge_stats,
-            attempts,
-            link,
-            flows,
-            transport,
-        })
+    ) -> Result<PipelineReport, PipelineError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+    {
+        full_pass(sources, cfg, &SERIAL, obs)
     }
 
     /// [`Pipeline::run`] with the channel-sharded parallel merge
-    /// ([`crate::shard`]): bootstrap is unchanged (it is global — monitor
-    /// clocks bridge channels), the merge fans out one thread per channel
-    /// shard, and reconstruction consumes the re-merged stream here on the
-    /// calling thread — so the observer needs no `Send` bound and sees
-    /// exactly what [`Pipeline::run`] would deliver.
+    /// ([`crate::shard`]) laid out by `cfg.shard`: bootstrap is unchanged
+    /// (it is global — monitor clocks bridge channels), the merge fans out
+    /// one thread per channel shard, and reconstruction consumes the
+    /// re-merged stream here on the calling thread — so the observer needs
+    /// no `Send` bound and sees exactly what [`Pipeline::run`] would
+    /// deliver.
     pub fn run_parallel<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
@@ -615,64 +646,13 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-
-        let (streams, seeds, refs) = set.into_merge_input();
-        let mut ds = Downstream::new(obs);
-        let merge_stats = crate::shard::run_sharded(
-            streams,
-            &boot.offsets,
-            seeds,
-            &refs,
-            &cfg.merge,
-            &cfg.shard,
-            |jf| {
-                if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                    ds.observe(&jf);
-                }
-            },
-        )?;
-        let (attempts, link, flows, transport) = ds.finish();
-
-        Ok(PipelineReport {
-            bootstrap: boot,
-            merge: merge_stats,
-            attempts,
-            link,
-            flows,
-            transport,
-        })
+        full_pass(sources, cfg, &cfg.shard, obs)
     }
 
     /// Bootstrap + serial merge only — no link/transport reconstruction,
     /// so only [`PipelineObserver::on_jframe`] fires. Benchmarks isolate
-    /// the merge stage with this; `repro merge --corpus` streams jframes
-    /// off disk through it.
-    pub fn merge_only<I: EventSource>(
-        sources: Vec<I>,
-        cfg: &PipelineConfig,
-        mut obs: impl PipelineObserver,
-    ) -> Result<(BootstrapReport, MergeStats), PipelineError> {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-        let (streams, seeds, refs) = set.into_merge_input();
-        let mut merger = Merger::new_at(streams, &boot.offsets, &refs, cfg.merge.clone());
-        for (r, seed) in seeds.into_iter().enumerate() {
-            merger.seed_pending(r, seed);
-        }
-        let stats = merger.run(|jf| {
-            if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                obs.on_jframe(&jf);
-            }
-        })?;
-        Ok((boot, stats))
-    }
-
-    /// Bootstrap + channel-sharded merge only (see [`Pipeline::merge_only`]).
-    pub fn merge_only_parallel<I>(
+    /// the merge stage with this.
+    pub fn merge_only<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
         mut obs: impl PipelineObserver,
@@ -681,32 +661,19 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-        let (streams, seeds, refs) = set.into_merge_input();
-        let stats = crate::shard::run_sharded(
-            streams,
-            &boot.offsets,
-            seeds,
-            &refs,
-            &cfg.merge,
-            &cfg.shard,
-            |jf| {
-                if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                    obs.on_jframe(&jf);
-                }
-            },
-        )?;
-        Ok((boot, stats))
+        merge_pass(sources, cfg, &SERIAL, |jf| obs.on_jframe(jf))
     }
 
     /// Convenience wrapper that materializes jframes and exchanges
     /// (small runs and tests only).
-    pub fn run_collect<I: EventSource>(
+    pub fn run_collect<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
-    ) -> Result<(Vec<JFrame>, Vec<Exchange>, PipelineReport), PipelineError> {
+    ) -> Result<(Vec<JFrame>, Vec<Exchange>, PipelineReport), PipelineError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+    {
         let mut jframes = Vec::new();
         let mut xs = Vec::new();
         let report = Self::run(

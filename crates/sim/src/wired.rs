@@ -189,7 +189,8 @@ pub fn encode_wired_trace(
 }
 
 /// Decodes [`encode_wired_trace`]'s output back into records plus the AP
-/// id → MAC table.
+/// id → MAC table. Every AP id a record names must be in the table, so
+/// lookups by a record's AP never miss.
 pub fn decode_wired_trace(
     bytes: &[u8],
 ) -> Result<(Vec<WiredTraceRecord>, HashMap<u16, MacAddr>), String> {
@@ -244,7 +245,15 @@ pub fn decode_wired_trace(
         let dst_mac = mac6(&mut pos)?;
         let ap = match varint(&mut pos)? {
             0 => None,
-            id => Some(StationId(station_id(id - 1)?)),
+            id => {
+                let sid = station_id(id - 1)?;
+                if !aps.contains_key(&sid) {
+                    return Err(format!(
+                        "wired record names AP id {sid}, missing from the AP table"
+                    ));
+                }
+                Some(StationId(sid))
+            }
         };
         let direction = WiredDirection::from_code(take(&mut pos, 1)?[0])
             .ok_or("bad wired-trace direction code")?;
@@ -388,6 +397,35 @@ mod tests {
         // Empty trace is fine.
         let (none, table) = decode_wired_trace(&encode_wired_trace(&[], &ap_addr)).unwrap();
         assert!(none.is_empty() && table.is_empty());
+    }
+
+    #[test]
+    fn record_naming_an_unlisted_ap_is_an_error() {
+        let rec = WiredTraceRecord {
+            ts: 1_000,
+            src_mac: MacAddr::local(9, 1),
+            dst_mac: MacAddr::local(3, 7),
+            ap: Some(StationId(5)),
+            direction: WiredDirection::ToWireless,
+            msdu: arp_msdu(),
+        };
+        // A well-formed member whose AP table is empty but whose one record
+        // names AP 5.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&WIRED_TRACE_MAGIC);
+        bytes.push(WIRED_TRACE_VERSION);
+        jigsaw_trace::varint::put_uvarint(&mut bytes, 0); // no AP entries
+        jigsaw_trace::varint::put_uvarint(&mut bytes, 1); // one record
+        jigsaw_trace::varint::put_uvarint(&mut bytes, rec.ts);
+        bytes.extend_from_slice(rec.src_mac.bytes());
+        bytes.extend_from_slice(rec.dst_mac.bytes());
+        jigsaw_trace::varint::put_uvarint(&mut bytes, 5 + 1);
+        bytes.push(rec.direction.code());
+        let msdu = rec.msdu.to_bytes();
+        jigsaw_trace::varint::put_uvarint(&mut bytes, msdu.len() as u64);
+        bytes.extend_from_slice(&msdu);
+        let err = decode_wired_trace(&bytes).unwrap_err();
+        assert!(err.contains("AP id 5"), "{err}");
     }
 
     #[test]

@@ -48,8 +48,10 @@
 //!              [--scale F] [--block-bytes N]     # simulate → write corpus
 //! repro merge  --corpus DIR [--parallel --threads N] [--verify]
 //!              [--from US --to US] [--max-buffered N]  # corpus → jframes
-//! repro bench-stream [--corpus DIR] [--from US --to US] [--out F]
 //! ```
+//!
+//! Decode and window-read costs are measured by the `perfbench/` benchmark
+//! (`trace.decode_s`, `trace.window_read_s`, `trace.disk_mb`).
 //!
 //! `merge` never materializes the corpus in memory: each radio's bootstrap
 //! window is read through the block index ([`index::find_block`] bounds the
