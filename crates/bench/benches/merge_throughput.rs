@@ -49,8 +49,8 @@ fn bench_mergers(c: &mut Criterion) {
 
 /// The whole pipeline on the channel-sharded driver at 1..=3 shard threads,
 /// next to `merge/jigsaw_full_pipeline` (the serial driver) above. The
-/// 1-thread case measures pure sharding overhead (it degenerates to the
-/// serial merger inline).
+/// 1-thread case is the serial driver's layout (one merge thread under
+/// the calling thread's reconstruction) with the default batching.
 fn bench_sharded_pipeline(c: &mut Criterion) {
     let out = small_world();
     let events = out.total_events();

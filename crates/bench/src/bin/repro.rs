@@ -771,7 +771,7 @@ fn run_record(args: &Args) {
         args.snaplen,
         args.block_bytes,
     )
-    .expect("record corpus");
+    .unwrap_or_else(|e| fail(args, &format!("record corpus {}: {e}", dir.display())));
     println!(
         "recorded {} radios / {} events to {} in {:.1?} (sim {sim_t:.1?}): {:.2} MB on disk, digest {}",
         summary.radios,
@@ -1265,9 +1265,15 @@ fn run_diagnose(args: &Args) {
         );
         if args.bless {
             if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("create golden dir");
+                std::fs::create_dir_all(parent).unwrap_or_else(|e| {
+                    fail(
+                        args,
+                        &format!("create golden dir {}: {e}", parent.display()),
+                    )
+                });
             }
-            std::fs::write(path, &body).unwrap_or_else(|e| panic!("write {golden}: {e}"));
+            std::fs::write(path, &body)
+                .unwrap_or_else(|e| fail(args, &format!("write {golden}: {e}")));
             println!("diagnose golden BLESSED: {golden}");
         } else {
             match std::fs::read_to_string(path) {

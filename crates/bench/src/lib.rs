@@ -139,26 +139,6 @@ pub fn scenario_by_name(name: &str, seed: u64, scale: f64) -> Option<NamedScenar
     }
 }
 
-/// The source revision a run was produced at: `GITHUB_SHA` when
-/// CI exports one, else the working tree's `git rev-parse`, else
-/// `"unknown"` — never an error, so bench runs work from a bare export.
-pub fn git_sha() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        let sha = sha.trim().to_string();
-        if !sha.is_empty() {
-            return sha.chars().take(12).collect();
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// Records a simulated world as an on-disk corpus (one compressed, indexed
 /// trace per radio plus the wired distribution-network member, manifest,
 /// and digest). `block_bytes = 0` uses the format's default block size;
@@ -512,13 +492,6 @@ mod tests {
         let s = scenario_by_name("roaming", 7, 1.0).unwrap();
         assert!(matches!(s, NamedScenario::Spec(_, 7)));
         assert!(scenario_by_name("nope", 1, 1.0).is_none());
-    }
-
-    #[test]
-    fn git_sha_is_short_and_nonempty() {
-        let sha = git_sha();
-        assert!(!sha.is_empty());
-        assert!(sha.len() <= 12);
     }
 
     #[test]

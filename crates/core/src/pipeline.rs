@@ -30,14 +30,17 @@
 //! replay is pinned against.
 //!
 //! Two drivers share every stage — one private pass opens the sources,
-//! bootstraps, clips, and merges through [`crate::shard::run_sharded`]:
-//! * [`Pipeline::run`] — the serial merger: a single shard, which
-//!   `run_sharded` runs inline on the calling thread;
+//! bootstraps, clips, and merges through [`crate::shard::run_sharded`],
+//! whose shards each merge on a thread of their own while window clipping,
+//! link/transport reconstruction and the observer consume the merged
+//! jframe stream on the calling thread (so unification overlaps
+//! everything downstream of it):
+//! * [`Pipeline::run`] — the serial merger: a single shard, one merge
+//!   thread;
 //! * [`Pipeline::run_parallel`] — the channel-sharded merge
-//!   ([`crate::shard`]): one merge thread per channel shard, with
-//!   link/transport reconstruction consuming the K-way-merged jframe
-//!   stream on the calling thread (so merging and reconstruction
-//!   overlap). Output is jframe-for-jframe identical to the serial driver.
+//!   ([`crate::shard`]): one merge thread per channel shard, K-way merged
+//!   back into the serial order. Output is jframe-for-jframe identical to
+//!   the serial driver.
 //!
 //! [`Pipeline::merge_only`] stops after unification (serial), and
 //! [`Reconstruction`] is the post-unification chain on its own, for drivers
@@ -536,15 +539,16 @@ impl<O: PipelineObserver> Reconstruction<O> {
     }
 }
 
-/// The serial drivers' shard layout: a single shard, which
-/// [`crate::shard::run_sharded`] runs as a plain inline
-/// [`Merger`](crate::unify::Merger) on the calling thread (batching and
-/// queue depth never come into play).
-const SERIAL: ShardConfig = ShardConfig {
-    max_threads: 1,
-    batch: 1,
-    queue_batches: 1,
-};
+/// The serial drivers' shard layout: a single shard — one
+/// [`Merger`](crate::unify::Merger) on one merge thread, handing jframes
+/// to the calling thread in [`ShardConfig::default`]'s batches and queue
+/// depth.
+fn serial() -> ShardConfig {
+    ShardConfig {
+        max_threads: 1,
+        ..ShardConfig::default()
+    }
+}
 
 /// The one pass behind every driver: open the sources, bootstrap the clocks
 /// over their windows, merge through [`crate::shard::run_sharded`] with the
@@ -627,7 +631,7 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        full_pass(sources, cfg, &SERIAL, obs)
+        full_pass(sources, cfg, &serial(), obs)
     }
 
     /// [`Pipeline::run`] with the channel-sharded parallel merge
@@ -661,7 +665,7 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        merge_pass(sources, cfg, &SERIAL, |jf| obs.on_jframe(jf))
+        merge_pass(sources, cfg, &serial(), |jf| obs.on_jframe(jf))
     }
 
     /// Convenience wrapper that materializes jframes and exchanges
@@ -921,6 +925,88 @@ mod tests {
             "on_flows fires after the streams"
         );
         assert!(probe.jframes > 0 && probe.attempts > 0 && probe.exchanges > 0);
+    }
+
+    /// A radio whose stream errors once its events run out — a trace
+    /// truncated mid-stream, well past the bootstrap window.
+    struct TruncatedStream(MemoryStream);
+
+    impl EventStream for TruncatedStream {
+        fn meta(&self) -> RadioMeta {
+            self.0.meta()
+        }
+        fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+            match self.0.next_event()? {
+                Some(ev) => Ok(Some(ev)),
+                None if self.0.meta().radio.0 == 0 => Err(FormatError::BadRecord("truncated")),
+                None => Ok(None),
+            }
+        }
+    }
+
+    /// Radios on channels 1/6/11/1 hearing 3 s of traffic; radio 0's trace
+    /// is truncated.
+    fn truncated_sources() -> Vec<TruncatedStream> {
+        let chans = [1u8, 6, 11, 1];
+        (0..chans.len())
+            .map(|r| {
+                let evs = (0..750u64)
+                    .map(|k| {
+                        let mut e = ev(
+                            r as u16,
+                            1_000 + k * 4_000 + r as u64,
+                            frame_bytes(k as u16),
+                        );
+                        e.channel = Channel::of(chans[r]);
+                        e
+                    })
+                    .collect();
+                let m = RadioMeta {
+                    channel: Channel::of(chans[r]),
+                    ..meta(r as u16, 0)
+                };
+                TruncatedStream(MemoryStream::new(m, evs))
+            })
+            .collect()
+    }
+
+    /// A source failing mid-merge surfaces its `FormatError` from every
+    /// driver — neither a hang nor a panic, each bounded in time while
+    /// the merge thread fails under a caller that is reconstructing.
+    #[test]
+    fn source_failing_mid_stream_fails_every_driver() {
+        type Driver = fn(Vec<TruncatedStream>) -> Result<(), PipelineError>;
+        fn cfg() -> PipelineConfig {
+            PipelineConfig {
+                shard: ShardConfig {
+                    max_threads: 3,
+                    ..ShardConfig::default()
+                },
+                ..PipelineConfig::default()
+            }
+        }
+        let drivers: [(&str, Driver); 3] = [
+            ("run", |s| Pipeline::run(s, &cfg(), ()).map(drop)),
+            ("merge_only", |s| {
+                Pipeline::merge_only(s, &cfg(), ()).map(drop)
+            }),
+            ("run_parallel", |s| {
+                Pipeline::run_parallel(s, &cfg(), ()).map(drop)
+            }),
+        ];
+        for (name, drive) in drivers {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(drive(truncated_sources()));
+            });
+            let res = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("{name}: no result within 30 s: {e}"));
+            assert!(
+                matches!(res, Err(PipelineError::Format(FormatError::BadRecord(_)))),
+                "{name}: {res:?}"
+            );
+        }
     }
 
     /// Serial and parallel drivers agree end to end (jframes, exchanges,

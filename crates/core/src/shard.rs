@@ -38,9 +38,11 @@
 //! # Degenerate cases
 //!
 //! * **Single channel** (or `max_threads = 1`): everything lands in one
-//!   shard, which runs the serial `Merger` inline on the caller's thread —
-//!   no threads, no channels, no behavioral difference from
-//!   [`Merger::run`]. Sharding is free to enable unconditionally.
+//!   shard. It still runs its `Merger` on a thread of its own, and the
+//!   K-way merge degenerates to a single cursor, so the output is exactly
+//!   [`Merger::run`]'s while unification overlaps whatever the caller's
+//!   `sink` does (reconstruction and the figure suite, for the pipeline's
+//!   serial driver). There is one code path for every shard count.
 //! * **More channels than threads**: channels are assigned round-robin to
 //!   shards; a multi-channel shard is still correct because the `Merger`
 //!   itself is channel-aware.
@@ -63,8 +65,9 @@ use std::sync::{mpsc, Arc};
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Maximum merge threads (= shards). `0` means one shard per distinct
-    /// channel, capped at the machine's available parallelism. `1` forces
-    /// the serial inline path.
+    /// channel, capped at the machine's available parallelism. `1` merges
+    /// every channel in one shard — the serial merger's order and output,
+    /// still on its own thread.
     pub max_threads: usize,
     /// Jframes per mpsc message: amortizes channel synchronization without
     /// adding meaningful latency (jframes are merged, not displayed).
@@ -105,6 +108,11 @@ impl ShardConfig {
 
 /// Runs the channel-sharded merge to completion, streaming the globally
 /// ordered jframes to `sink` on the calling thread.
+///
+/// Every shard — a lone one included — merges on a thread of its own; the
+/// calling thread only runs the K-way merge and `sink`, so `sink` needs no
+/// `Send` bound and its work overlaps unification. A shard's decode error
+/// stops the sink and is returned; a shard's panic is resumed here.
 ///
 /// `offsets[i]`, `seeds[i]` and `clock_refs[i]` belong to `streams[i]`
 /// (the same contract as [`Merger::new_at`] + [`Merger::seed_pending`]);
@@ -148,23 +156,6 @@ where
 
     let ref_of = |i: usize| clock_refs.get(i).copied().unwrap_or(0);
 
-    if n_shards == 1 {
-        // Degenerate path: one shard ≡ the serial merger, run inline.
-        let (idx, shard_streams): (Vec<usize>, Vec<S>) = shards.pop().unwrap().into_iter().unzip();
-        let shard_offsets: Vec<i64> = idx.iter().map(|&i| offsets[i]).collect();
-        let shard_refs: Vec<u64> = idx.iter().map(|&i| ref_of(i)).collect();
-        let mut merger = Merger::new_at(
-            shard_streams,
-            &shard_offsets,
-            &shard_refs,
-            merge_cfg.clone(),
-        );
-        for (r, &i) in idx.iter().enumerate() {
-            merger.seed_pending(r, std::mem::take(&mut seeds[i]));
-        }
-        return merger.run(sink);
-    }
-
     let batch_size = cfg.batch.max(1);
     // Raised by a shard that fails, checked by everyone: the consumer
     // stops sinking (mirroring the serial merger, which stops at the
@@ -199,8 +190,11 @@ where
                     return;
                 }
                 batch.push(jf);
-                if batch.len() >= batch_size && tx.send(std::mem::take(&mut batch)).is_err() {
-                    hung_up = true;
+                if batch.len() >= batch_size {
+                    // A fresh full-size batch: one allocation per hand-off
+                    // and no growth reallocations while it fills.
+                    let full = std::mem::replace(&mut batch, Vec::with_capacity(batch_size));
+                    hung_up = tx.send(full).is_err();
                 }
             });
             match result {
@@ -252,7 +246,7 @@ where
     let mut stats = MergeStats::default();
     let mut first_err = None;
     for h in handles {
-        match h.join().expect("shard thread panicked") {
+        match h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
             Ok(s) => stats.absorb(&s),
             Err(e) => first_err = first_err.or(Some(e)),
         }
@@ -491,44 +485,59 @@ mod tests {
     }
 
     /// One shard failing mid-merge must surface the error (and terminate)
-    /// rather than silently completing on the healthy channels.
+    /// rather than silently completing on the healthy channels — with two
+    /// shards, and with the lone shard of the serial layout, whose merge
+    /// thread fails while the caller sits in a blocking receive.
     #[test]
     fn shard_error_propagates_and_terminates() {
-        let f = frame_bytes(2, 5);
-        let mut bad_events = Vec::new();
-        let mut good_events = Vec::new();
-        for k in 0..50u64 {
-            bad_events.push(ev(
-                0,
-                1_000 + k * 2_000,
-                1,
-                frame_bytes((k % 4000) as u16, 1),
-            ));
-            good_events.push(ev(1, 1_000 + k * 2_000, 6, f.clone()));
+        for max_threads in [2, 1] {
+            let f = frame_bytes(2, 5);
+            let mut bad_events = Vec::new();
+            let mut good_events = Vec::new();
+            for k in 0..50u64 {
+                bad_events.push(ev(
+                    0,
+                    1_000 + k * 2_000,
+                    1,
+                    frame_bytes((k % 4000) as u16, 1),
+                ));
+                good_events.push(ev(1, 1_000 + k * 2_000, 6, f.clone()));
+            }
+            let bad = FailingStream {
+                inner: MemoryStream::new(meta(0, 1), bad_events),
+            };
+            let good = FailingStream {
+                // The "good" stream also errors at the end — both shards
+                // fail, proving termination does not rely on one staying
+                // healthy.
+                inner: MemoryStream::new(meta(1, 6), good_events),
+            };
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let res = run_sharded(
+                    vec![bad, good],
+                    &[0, 0],
+                    Vec::new(),
+                    &[],
+                    &MergeConfig::default(),
+                    &ShardConfig {
+                        max_threads,
+                        batch: 4,
+                        queue_batches: 1,
+                    },
+                    |_| {},
+                );
+                let _ = tx.send(res);
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|e| panic!("max_threads={max_threads}: no result: {e}"))
+                .unwrap_err();
+            assert!(
+                matches!(err, FormatError::BadRecord(_)),
+                "max_threads={max_threads}: {err:?}"
+            );
         }
-        let bad = FailingStream {
-            inner: MemoryStream::new(meta(0, 1), bad_events),
-        };
-        let good = FailingStream {
-            // The "good" stream also errors at the end — both shards fail,
-            // proving termination does not rely on one staying healthy.
-            inner: MemoryStream::new(meta(1, 6), good_events),
-        };
-        let err = run_sharded(
-            vec![bad, good],
-            &[0, 0],
-            Vec::new(),
-            &[],
-            &MergeConfig::default(),
-            &ShardConfig {
-                max_threads: 2,
-                batch: 4,
-                queue_batches: 1,
-            },
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, FormatError::BadRecord(_)), "{err:?}");
     }
 
     #[test]

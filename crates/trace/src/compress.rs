@@ -15,6 +15,7 @@
 //! dependency-free, and fast enough to keep trace merging faster than
 //! real time (see the `merge_throughput` bench).
 
+use crate::format::BLOCK_MAX;
 use crate::varint::{get_uvarint, put_uvarint};
 
 /// Minimum match length worth encoding (below this, literals win).
@@ -157,8 +158,12 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// corrupt, so every access goes through `get` and every length through
 /// `checked_add` (tidy: `decode-no-panic`) — corruption decodes to `Err`,
 /// never a panic.
+///
+/// The output is allocated once, at `max_out` (capped at
+/// [`BLOCK_MAX`]): block readers pass the header's raw length, so a
+/// well-formed block decodes without a single growth reallocation.
 pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::with_capacity(input.len() * 2);
+    let mut out = Vec::with_capacity(max_out.min(BLOCK_MAX));
     let mut i = 0usize;
     while let Some(&tag) = input.get(i) {
         i += 1;
@@ -204,11 +209,16 @@ pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressErr
                 {
                     return Err(DecompressError::TooLarge);
                 }
-                // Overlapping copies are the LZ idiom for runs: copy byte-wise.
+                // Overlapping copies (`dist < len`) are the LZ idiom for
+                // runs. Each chunk re-copies everything from `start` on, so
+                // the copied span doubles per pass and repeats with period
+                // `dist` — the same bytes a byte-wise copy would produce.
                 let start = out.len() - dist;
-                for j in 0..len {
-                    let b = *out.get(start + j).ok_or(DecompressError::BadDistance)?;
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let chunk = left.min(out.len() - start);
+                    out.extend_from_within(start..start + chunk);
+                    left -= chunk;
                 }
             }
             bad => return Err(DecompressError::BadToken(bad)),
@@ -313,7 +323,224 @@ mod tests {
         assert_eq!(decompress(&c, 100), Err(DecompressError::BadDistance));
     }
 
+    /// The byte-at-a-time match copy the chunked kernel replaced, kept as
+    /// the reference decoder the kernel is checked against.
+    fn reference_decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressError> {
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        while let Some(&tag) = input.get(i) {
+            i += 1;
+            match tag {
+                0x00 => {
+                    let rest = input.get(i..).ok_or(DecompressError::Truncated)?;
+                    let (len, n) = get_uvarint(rest).ok_or(DecompressError::Truncated)?;
+                    i += n;
+                    let len = usize::try_from(len).map_err(|_| DecompressError::TooLarge)?;
+                    let end = i.checked_add(len).ok_or(DecompressError::Truncated)?;
+                    let lits = input.get(i..end).ok_or(DecompressError::Truncated)?;
+                    if out
+                        .len()
+                        .checked_add(len)
+                        .ok_or(DecompressError::TooLarge)?
+                        > max_out
+                    {
+                        return Err(DecompressError::TooLarge);
+                    }
+                    out.extend_from_slice(lits);
+                    i = end;
+                }
+                0x01 => {
+                    let rest = input.get(i..).ok_or(DecompressError::Truncated)?;
+                    let (l, n) = get_uvarint(rest).ok_or(DecompressError::Truncated)?;
+                    i += n;
+                    let rest = input.get(i..).ok_or(DecompressError::Truncated)?;
+                    let (dist, n) = get_uvarint(rest).ok_or(DecompressError::Truncated)?;
+                    i += n;
+                    let len = usize::try_from(l)
+                        .ok()
+                        .and_then(|l| l.checked_add(MIN_MATCH))
+                        .ok_or(DecompressError::TooLarge)?;
+                    let dist = usize::try_from(dist).map_err(|_| DecompressError::BadDistance)?;
+                    if dist == 0 || dist > out.len() {
+                        return Err(DecompressError::BadDistance);
+                    }
+                    if out
+                        .len()
+                        .checked_add(len)
+                        .ok_or(DecompressError::TooLarge)?
+                        > max_out
+                    {
+                        return Err(DecompressError::TooLarge);
+                    }
+                    let start = out.len() - dist;
+                    for j in 0..len {
+                        out.push(out[start + j]);
+                    }
+                }
+                bad => return Err(DecompressError::BadToken(bad)),
+            }
+        }
+        Ok(out)
+    }
+
+    fn lit(c: &mut Vec<u8>, bytes: &[u8]) {
+        c.push(0x00);
+        put_uvarint(c, bytes.len() as u64);
+        c.extend_from_slice(bytes);
+    }
+
+    fn mat(c: &mut Vec<u8>, len: u64, dist: u64) {
+        c.push(0x01);
+        put_uvarint(c, len - MIN_MATCH as u64);
+        put_uvarint(c, dist);
+    }
+
+    /// Decodes `c` with the kernel, checking it against the reference.
+    fn decode(c: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressError> {
+        let got = decompress(c, max_out);
+        assert_eq!(got, reference_decompress(c, max_out));
+        got
+    }
+
+    #[test]
+    fn overlapping_match_distance_one_is_a_run() {
+        let mut c = Vec::new();
+        lit(&mut c, b"a");
+        mat(&mut c, 10, 1);
+        assert_eq!(decode(&c, 100).unwrap(), b"aaaaaaaaaaa");
+    }
+
+    #[test]
+    fn overlapping_match_shorter_than_two_distances() {
+        // dist < len < 2·dist: the copy reads bytes it wrote itself.
+        let mut c = Vec::new();
+        lit(&mut c, b"abc");
+        mat(&mut c, 5, 3);
+        assert_eq!(decode(&c, 100).unwrap(), b"abcabcab");
+        // len == dist: no self-overlap, one chunk.
+        let mut c = Vec::new();
+        lit(&mut c, b"wxyz");
+        mat(&mut c, 4, 4);
+        assert_eq!(decode(&c, 100).unwrap(), b"wxyzwxyz");
+    }
+
+    #[test]
+    fn long_overlapping_runs_repeat_their_period() {
+        let mut c = Vec::new();
+        lit(&mut c, b"xyz");
+        mat(&mut c, 100_000, 3);
+        lit(&mut c, b"!");
+        mat(&mut c, 70_000, 1);
+        let out = decode(&c, 170_004).unwrap();
+        assert_eq!(out.len(), 170_004);
+        assert!(out[..100_003].chunks(3).all(|p| b"xyz".starts_with(p)));
+        assert!(out[100_003..].iter().all(|&b| b == b'!'));
+        // A match from deep inside the output, not its tail.
+        let mut c = Vec::new();
+        lit(&mut c, b"0123456789");
+        mat(&mut c, 6, 8);
+        assert_eq!(decode(&c, 100).unwrap(), b"0123456789234567");
+    }
+
+    #[test]
+    fn every_error_variant_is_reported() {
+        let t = |c: &[u8], max_out| decode(c, max_out).unwrap_err();
+        // Truncated: a tag with no length, a literal run past the input,
+        // a match missing its distance, an unterminated varint.
+        assert_eq!(t(&[0x00], 10), DecompressError::Truncated);
+        assert_eq!(t(&[0x00, 5, b'a'], 10), DecompressError::Truncated);
+        assert_eq!(t(&[0x00, 1, b'a', 0x01, 0], 10), DecompressError::Truncated);
+        assert_eq!(t(&[0x01, 0x80], 10), DecompressError::Truncated);
+        // BadToken: any tag but 0x00 / 0x01.
+        assert_eq!(t(&[0x02], 10), DecompressError::BadToken(0x02));
+        assert_eq!(
+            t(&[0x00, 1, b'a', 0xff], 10),
+            DecompressError::BadToken(0xff)
+        );
+        // BadDistance: zero, past the start, and before any output.
+        let mut c = Vec::new();
+        lit(&mut c, b"abcd");
+        mat(&mut c, 4, 0);
+        assert_eq!(t(&c, 100), DecompressError::BadDistance);
+        let mut c = Vec::new();
+        lit(&mut c, b"abcd");
+        mat(&mut c, 4, 5);
+        assert_eq!(t(&c, 100), DecompressError::BadDistance);
+        let mut c = Vec::new();
+        mat(&mut c, 4, 1);
+        assert_eq!(t(&c, 100), DecompressError::BadDistance);
+        // TooLarge: a literal run or a match past the limit, and a match
+        // length that overflows.
+        let mut c = Vec::new();
+        lit(&mut c, b"abcd");
+        assert_eq!(t(&c, 3), DecompressError::TooLarge);
+        mat(&mut c, 4, 1);
+        assert_eq!(t(&c, 7), DecompressError::TooLarge);
+        assert_eq!(decode(&c, 8).unwrap(), b"abcddddd");
+        let mut c = Vec::new();
+        lit(&mut c, b"abcd");
+        c.push(0x01);
+        put_uvarint(&mut c, u64::MAX);
+        put_uvarint(&mut c, 1);
+        assert_eq!(t(&c, usize::MAX), DecompressError::TooLarge);
+    }
+
+    /// Builds a token stream from `lits` as a leading literal run, then
+    /// `ops`: mostly well-formed literal runs and matches (overlapping ones
+    /// included), with bad distances, raw tag bytes and oversized lengths
+    /// mixed in.
+    fn token_stream(ops: &[u64], lits: &[u8]) -> Vec<u8> {
+        let mut c = Vec::new();
+        lit(&mut c, lits);
+        let mut produced = lits.len() as u64;
+        for (k, &op) in ops.iter().enumerate() {
+            let arg = op >> 8;
+            match op % 64 {
+                0..=24 => {
+                    let len = (arg % 40) as usize;
+                    let from = k % lits.len().max(1);
+                    let run: Vec<u8> = lits.iter().cycle().skip(from).take(len).copied().collect();
+                    lit(&mut c, &run);
+                    produced += run.len() as u64;
+                }
+                25..=60 => {
+                    let len = MIN_MATCH as u64 + arg % 300;
+                    let dist = 1 + (arg >> 16) % produced.min(64);
+                    mat(&mut c, len, dist);
+                    produced += len;
+                }
+                61 => mat(
+                    &mut c,
+                    MIN_MATCH as u64 + arg % 8,
+                    (arg >> 16) % (produced + 3),
+                ),
+                62 => c.push(arg as u8),
+                _ => {
+                    c.push((arg & 1) as u8);
+                    put_uvarint(&mut c, arg);
+                    put_uvarint(&mut c, arg >> 7);
+                }
+            }
+        }
+        c
+    }
+
     proptest! {
+        #[test]
+        fn proptest_kernel_matches_bytewise_reference(
+            ops in proptest::collection::vec(any::<u64>(), 0..24),
+            lits in proptest::collection::vec(any::<u8>(), 1..64),
+            max_out in 0usize..6000,
+            cut: u16,
+        ) {
+            let mut c = token_stream(&ops, &lits);
+            // A quarter of the streams lose their tail mid-token.
+            if cut.is_multiple_of(4) {
+                c.truncate(usize::from(cut) % (c.len() + 1));
+            }
+            prop_assert_eq!(decompress(&c, max_out), reference_decompress(&c, max_out));
+        }
+
         #[test]
         fn proptest_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             roundtrip(&data);
